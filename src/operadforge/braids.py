@@ -12,7 +12,13 @@ Word equality is decided by handle reduction: a terminating rewriting
 procedure that sends a word to a form with no handles.  A reduced word is
 empty iff the braid is trivial, and contains its lowest generator index with
 a single sign otherwise, which also yields an exact test for membership in
-the subgroup generated by the higher-index crossings (`is_clean_below`).
+the subgroup generated by the higher-index crossings (`remove_strand_one`).
+The prefix before the leftmost-closing handle's last letter holds no handle,
+and replacing the handle only changes the word from the low-water mark of
+free cancellation on, so the scan for the next handle resumes there instead
+of at the start.  The state it resumes from is one back pointer per scanned
+position, so a round rescans only the handle's reduct, at most n-1 pointer
+steps per letter, instead of the whole word.
 """
 
 from __future__ import annotations
@@ -134,46 +140,50 @@ def permute_contents(u: BraidWord, items: Sequence) -> list:
 
 # -- handle reduction ---------------------------------------------------------
 
-def _free_reduce(word: list[int]) -> list[int]:
-    out: list[int] = []
-    for a in word:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return out
-
-
-def _find_handle(word: list[int]) -> tuple[int, int] | None:
-    """Leftmost-closing handle: positions (s, t) with word[s] = -word[t],
-    equal index, and nothing of index <= that index strictly between."""
-    last_seen: dict[int, int] = {}
-    for t, a in enumerate(word):
-        i = abs(a)
-        s = last_seen.get(i)
-        if s is not None and word[s] == -a:
-            if all(abs(word[k]) > i for k in range(s + 1, t)):
-                return s, t
-        last_seen[i] = t
-    return None
-
-
 def handle_reduce(u: BraidWord) -> BraidWord:
-    """Fully handle-reduced word representing the same braid."""
-    word = _free_reduce(list(u.letters))
-    while True:
-        h = _find_handle(word)
-        if h is None:
-            return BraidWord(u.strands, tuple(word))
-        s, t = h
-        i, e = abs(word[s]), (1 if word[s] > 0 else -1)
-        mid: list[int] = []
-        for a in word[s + 1 : t]:
-            if abs(a) == i + 1:
-                mid += [-(i + 1) * e, i * (1 if a > 0 else -1), (i + 1) * e]
+    """Fully handle-reduced word representing the same braid.
+
+    Always reduces the leftmost-closing handle of the freely reduced word.
+    `word` is the scanned prefix, freely reduced and free of handles, and
+    `todo` holds the rest of the word, freely reduced, next letter last.
+    `prev[p]` is the nearest position before p whose letter has a smaller
+    index (-1 if none), so the letters of index <= i nearest the end of
+    `word` are found by following `prev` from its last position.
+    """
+    todo: list[int] = []
+    for a in reversed(u.letters):
+        if todo and todo[-1] == -a:
+            todo.pop()
+        else:
+            todo.append(a)
+    word: list[int] = []
+    prev: list[int] = []
+    while todo:
+        a = todo.pop()
+        i = abs(a)
+        q = len(word) - 1
+        while q >= 0 and abs(word[q]) > i:
+            q = prev[q]
+        if q < 0 or word[q] != -a:
+            prev.append(prev[q] if q >= 0 and word[q] == a else q)
+            word.append(a)
+            continue
+        # word[q] .. a is a handle (a free pair if nothing lies between):
+        # hand its reduct back to `todo`, freely reducing against the rest.
+        e = -1 if a > 0 else 1
+        body = word[q + 1 :]
+        del word[q:], prev[q:]
+        for b in reversed(body):
+            if abs(b) == i + 1:
+                reduct = ((i + 1) * e, i if b > 0 else -i, -(i + 1) * e)
             else:
-                mid.append(a)
-        word = _free_reduce(word[:s] + mid + word[t + 1 :])
+                reduct = (b,)
+            for c in reduct:
+                if todo and todo[-1] == -c:
+                    todo.pop()
+                else:
+                    todo.append(c)
+    return BraidWord(u.strands, tuple(word))
 
 
 def braid_is_trivial(u: BraidWord) -> bool:
@@ -193,29 +203,12 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     return braid_is_trivial(braid_compose(u, braid_inverse(v)))
 
 
-def is_clean_below(u: BraidWord, i: int = 1) -> BraidWord | None:
-    """If u lies in the subgroup generated by crossings of index > i-1 ...
-
-    Concretely: decide whether u is representable without any letter of index
-    < i+0, i.e. whether strand block 1..i-1 stays uncrossed.  With the default
-    i=1 this asks whether strand 1 never crosses anything.  Returns a reduced
-    witness word avoiding index i-1... (indexes < i), or None.
-
-    Only i=1 is needed by callers; a reduced word is free of index-1 letters
-    exactly when the braid lies in the subgroup generated by the others.
-    """
-    reduced = handle_reduce(u)
-    if all(abs(a) > i for a in reduced.letters):
-        return reduced
-    return None
-
-
 def remove_strand_one(u: BraidWord) -> BraidWord | None:
-    """Delete strand 1 when it is unentangled; None when it is not."""
-    clean = is_clean_below(u, 1)
-    if clean is None:
+    """Delete strand 1 if u needs no index-1 crossing; None if it does."""
+    reduced = handle_reduce(u).letters
+    if any(abs(a) == 1 for a in reduced):
         return None
-    return BraidWord(u.strands - 1, tuple((abs(a) - 1) * (1 if a > 0 else -1) for a in clean.letters))
+    return BraidWord(u.strands - 1, tuple((abs(a) - 1) * (1 if a > 0 else -1) for a in reduced))
 
 
 # -- cabling and block sums ---------------------------------------------------

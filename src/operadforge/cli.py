@@ -219,8 +219,24 @@ def cmd_compose(args, cfg: RunConfig) -> int:
     return 0
 
 
+# Argument counts each braid operation takes: (fewest, most or None).
+_BRAID_ARGC = {
+    "eq": (2, 2),
+    "cable": (1, None),
+    "perm": (1, 1),
+    "sum": (1, None),
+    "trivial": (1, 1),
+    "inverse": (1, 1),
+}
+
+
 def cmd_braid(args, cfg: RunConfig) -> int:
     op = args.op
+    fewest, most = _BRAID_ARGC[op]
+    got = len(args.args)
+    if got < fewest or (most is not None and got > most):
+        want = f"{fewest}" if fewest == most else f"at least {fewest}"
+        raise CliError(f"braid {op} takes {want} argument(s), got {got}")
     if op == "eq":
         u, v = braids.parse_braid(args.args[0]), braids.parse_braid(args.args[1])
         equal = braids.braid_equal(u, v)
@@ -338,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.set_defaults(fn=cmd_compose)
 
     br = sub.add_parser("braid", help="braid word operations")
-    br.add_argument("op", choices=["eq", "cable", "perm", "sum", "trivial", "inverse"])
+    br.add_argument("op", choices=list(_BRAID_ARGC))
     br.add_argument("args", nargs="+")
     br.set_defaults(fn=cmd_braid)
 

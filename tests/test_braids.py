@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,7 +22,8 @@ from operadforge.braids import (
     underlying_permutation,
 )
 
-from conftest import braid_words, paired_braid_words
+from braid_oracle import handle_reduce_letters
+from conftest import braid_words, long_braid_pairs, paired_braid_words
 
 
 class TestLiterals:
@@ -113,6 +116,35 @@ class TestTriviality:
     def test_handle_reduce_fixpoint_empty_for_trivial(self):
         w = parse_braid("{4; 1 2 1 -2 -1 -2}")
         assert handle_reduce(w).letters == ()
+
+
+class TestLongWords:
+    """Known answers by construction, at lengths the brute-force relator
+    search of criterion 1 cannot reach."""
+
+    def test_rewritten_words_equal_commutator_unequal(self):
+        for w, v, equal in long_braid_pairs(60, seed=11):
+            assert braid_equal(w, v) is equal, (w, v)
+
+
+class TestHandleReduceOracle:
+    """The incremental scan returns exactly the rescanning oracle's word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(braid_words(min_strands=2, max_strands=6, max_len=30))
+    def test_short_words(self, u):
+        assert handle_reduce(u).letters == handle_reduce_letters(u.letters)
+
+    def test_long_pairs(self):
+        for w, v, _ in long_braid_pairs(200, seed=7):
+            x = braid_compose(w, braid_inverse(v))
+            assert handle_reduce(x).letters == handle_reduce_letters(x.letters)
+
+    def test_random_b8_words(self):
+        rng = random.Random(8)
+        for length in (200, 400, 800):
+            x = BraidWord(8, tuple(rng.choice((1, -1)) * rng.randrange(1, 8) for _ in range(length)))
+            assert handle_reduce(x).letters == handle_reduce_letters(x.letters)
 
 
 class TestPermutation:

@@ -123,6 +123,22 @@ class TestBraid:
         code, _, err = run(capsys, "braid", "eq", "{2; 5}", "{2; 1}")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eq", "{3; 1}"),
+            ("eq", "{3; 1}", "{3; 1}", "{3; 1}"),
+            ("trivial", "{3; 1}", "{3; 1}"),
+            ("perm", "{3; 1}", "{3; 1}"),
+            ("inverse", "{3; 1}", "{3; 1}"),
+        ],
+    )
+    def test_wrong_argument_count_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "braid", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: braid ")
+
 
 class TestAxioms:
     def test_bci_json(self, capsys):
