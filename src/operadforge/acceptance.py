@@ -29,8 +29,6 @@ from .comb import (
     BIBULLET,
     Bullet,
     CApp,
-    ConstRef,
-    I,
     Prim,
     axiom_suite,
     capp,
@@ -41,7 +39,7 @@ from .comb import (
     sample_closed,
 )
 from .normalize import DEFAULT_FUEL, Verdict, lam_equal, normalize
-from .terms import App, Const, Discipline, Lam, Var, parse, wires
+from .terms import App, Discipline, Lam, Var, parse
 
 
 @dataclass
@@ -377,8 +375,8 @@ def criterion_10(samples: int, seed: int, fuel: int) -> Result:
     mm = parse_cterm("C- o B")
     if comb_equal(mp, mm, sig, fuel=fuel) is not Verdict.NOT_EQUAL:
         return Result("non-faithfulness", False, "the two braided exchanges compare equal")
-    fp = operad.poly_hom_F(operad.operad_elem(mp, 2, sig))
-    fm = operad.poly_hom_F(operad.operad_elem(mm, 2, sig))
+    fp = operad.operad_elem(mp, 2, sig)
+    fm = operad.operad_elem(mm, 2, sig)
     rng = random.Random(seed)
     for _ in range(samples):
         a1 = sample_closed(sig, rng, max_depth=2)

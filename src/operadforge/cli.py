@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage/parse/discipline error, 2 fuel exhaustion,
-3 an indefinite verdict (Unknown, or an equality request involving Tr).
+3 an equality request involving Tr.
 
 The default fuel is 10000 beta steps, overridable per call with --fuel or
 globally with the OPERADFORGE_FUEL environment variable.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -74,20 +75,13 @@ def _read_input(text: str) -> str:
     return text
 
 
-_PRIM_OK = {
-    Discipline.PLANAR: ("B", "I"),
-    Discipline.LINEAR: ("B", "C", "I"),
-    Discipline.BRAIDED: ("B", "C+", "C-", "I"),
-    Discipline.CARTESIAN: ("B", "C", "I", "W", "K"),
-}
-
-
 def _parse_lambda(text: str, d: Discipline) -> terms.LTerm:
     """Parse a lambda term, resolving free identifiers that name combinator
     primitives of the discipline to their lambda images."""
     t = terms.parse(text)
     images = {
-        name: comb.to_lambda(comb.Prim(name), d) for name in _PRIM_OK[d]
+        name: comb.to_lambda(comb.Prim(name), d)
+        for name in comb.DISCIPLINE_PRIMITIVES[d]
     }
 
     def resolve(u: terms.LTerm) -> terms.LTerm:
@@ -105,11 +99,7 @@ def _parse_lambda(text: str, d: Discipline) -> terms.LTerm:
 
 
 def _verdict_exit(v: Verdict) -> int:
-    if v is Verdict.FUEL_EXHAUSTED:
-        return 2
-    if v is Verdict.UNKNOWN:
-        return 3
-    return 0
+    return 2 if v is Verdict.FUEL_EXHAUSTED else 0
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -155,14 +145,10 @@ def cmd_eq(args, cfg: RunConfig) -> int:
 
 
 def _cterm_to_poly(t: comb.CTerm) -> comb.PolyExpr:
-    import re
-
     if isinstance(t, comb.ConstRef) and re.fullmatch(r"x\d*", t.name):
         return comb.Id(int(t.name[1:]) if len(t.name) > 1 else 0)
     if isinstance(t, comb.CApp):
         return comb.AppP(_cterm_to_poly(t.fn), _cterm_to_poly(t.arg))
-    if isinstance(t, comb.Bullet):
-        return comb.Coef(t)
     return comb.Coef(t)
 
 
@@ -272,8 +258,6 @@ def cmd_axioms(args, cfg: RunConfig) -> int:
     else:
         for r in reports:
             print(f"{r.status.upper():7s} {r.axiom}")
-    if any(r.status == "unknown" for r in reports):
-        return 3
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

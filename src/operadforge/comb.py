@@ -7,16 +7,9 @@ closed expression (``a*``), infix ``o`` for sequential composition
 associating to the right).  Any other identifier is a free constant.
 
 Each signature fixes the permitted primitives and the lambda discipline in
-which its expressions are interpreted:
-
-=========  ==========================  ==========
-signature  primitives                  discipline
-=========  ==========================  ==========
-BIbullet   B I (_)*                    planar
-BCI        B C I (_)*                  linear
-BCpmI      B C+ C- I (_)*              braided
-BCIWK      B C I W K (_)*              cartesian
-=========  ==========================  ==========
+which its expressions are interpreted (`_SIGNATURE_FACTS`); every other
+signature fact, such as its exchange combinator or whether it allows
+weakening and contraction, is derived from those two.
 
 ``Tr`` is accepted only when the signature carries the trace extension, and
 only for construction and printing; no equality involves it.
@@ -26,11 +19,18 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import terms
-from .normalize import DEFAULT_FUEL, Verdict, lam_equal, normalize
+from .normalize import (
+    DEFAULT_FUEL,
+    FuelExhausted,
+    Verdict,
+    lam_equal,
+    normal_forms_equal,
+    normalize,
+)
 from .terms import App as LApp
 from .terms import Const as LConst
 from .terms import Discipline, LTerm
@@ -46,19 +46,17 @@ class UnsupportedTrace(CombError):
 
 # -- signatures -----------------------------------------------------------------
 
-_SIG_PRIMS = {
-    "BIbullet": frozenset({"B", "I"}),
-    "BCI": frozenset({"B", "C", "I"}),
-    "BCpmI": frozenset({"B", "C+", "C-", "I"}),
-    "BCIWK": frozenset({"B", "C", "I", "W", "K"}),
+# The one place a signature's facts are named: its lambda discipline and its
+# primitives, without the internalization (_)* that every signature has.
+_SIGNATURE_FACTS = {
+    "BIbullet": (Discipline.PLANAR, frozenset({"B", "I"})),
+    "BCI": (Discipline.LINEAR, frozenset({"B", "C", "I"})),
+    "BCpmI": (Discipline.BRAIDED, frozenset({"B", "C+", "C-", "I"})),
+    "BCIWK": (Discipline.CARTESIAN, frozenset({"B", "C", "I", "W", "K"})),
 }
 
-_SIG_DISCIPLINE = {
-    "BIbullet": Discipline.PLANAR,
-    "BCI": Discipline.LINEAR,
-    "BCpmI": Discipline.BRAIDED,
-    "BCIWK": Discipline.CARTESIAN,
-}
+# The primitives that have a lambda image in each discipline.
+DISCIPLINE_PRIMITIVES = {d: prims for d, prims in _SIGNATURE_FACTS.values()}
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,31 @@ class Signature:
     trace_extension: bool = False
 
     def __post_init__(self):
-        if self.tag not in _SIG_PRIMS:
+        if self.tag not in _SIGNATURE_FACTS:
             raise CombError(f"unknown signature {self.tag!r}")
-        if self.trace_extension and self.tag not in ("BCI", "BCpmI"):
+        if self.trace_extension and self.discipline not in (
+            Discipline.LINEAR,
+            Discipline.BRAIDED,
+        ):
             raise CombError("trace extension requires BCI or BCpmI")
 
     @property
     def primitives(self) -> frozenset[str]:
-        prims = _SIG_PRIMS[self.tag]
+        prims = _SIGNATURE_FACTS[self.tag][1]
         return prims | {"Tr"} if self.trace_extension else prims
 
     @property
     def discipline(self) -> Discipline:
-        return _SIG_DISCIPLINE[self.tag]
+        return _SIGNATURE_FACTS[self.tag][0]
+
+    def exchange(self, positive: bool) -> Prim:
+        """The exchange combinator; in the braided signature, the positive or
+        negative one."""
+        if self.discipline is Discipline.BRAIDED:
+            return CPLUS if positive else CMINUS
+        if self.discipline is Discipline.PLANAR:
+            raise CombError(f"signature {self.tag} has no exchange combinator")
+        return C
 
 
 BIBULLET = Signature("BIbullet")
@@ -337,23 +347,13 @@ _PRIM_LAMBDA_SRC = {
 
 _PRIM_LAMBDA = {name: terms.parse(src) for name, src in _PRIM_LAMBDA_SRC.items()}
 
-_PRIM_DISCIPLINES = {
-    "B": {Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN},
-    "I": {Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN},
-    "C": {Discipline.LINEAR, Discipline.CARTESIAN},
-    "C+": {Discipline.BRAIDED},
-    "C-": {Discipline.BRAIDED},
-    "W": {Discipline.CARTESIAN},
-    "K": {Discipline.CARTESIAN},
-}
-
 
 def to_lambda(c: CTerm, d: Discipline) -> LTerm:
     """Lambda image of a combinator expression in discipline d."""
     if isinstance(c, Prim):
         if c.name == "Tr":
             raise UnsupportedTrace("Tr has no lambda image")
-        if d not in _PRIM_DISCIPLINES[c.name]:
+        if c.name not in DISCIPLINE_PRIMITIVES[d]:
             raise CombError(f"primitive {c.name} does not fit the {d.value} discipline")
         return _PRIM_LAMBDA[c.name]
     if isinstance(c, CApp):
@@ -479,21 +479,12 @@ def _occurrences(p: PolyExpr, v: int) -> int:
     return sum(1 for l in _leaves(p) if l.var == v)
 
 
-def _bullet_for(sig: Signature, a: CTerm) -> CTerm:
-    """The internalization of a closed element, native or derived."""
-    if sig.tag == "BIbullet":
-        return Bullet(a)
-    if sig.tag == "BCpmI":
-        return capp(CPLUS, I, a)
-    return capp(C, I, a)
-
-
 def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
     """One abstraction step: remove variable m-1, the last one."""
     v = m - 1
     occ = _occurrences(p, v)
     if occ == 0:
-        if sig.tag != "BCIWK":
+        if sig.discipline.exactly_once:
             raise CombError(f"variable {v} does not occur ({sig.tag} forbids weakening)")
         return AppP(Coef(K), p)
     if isinstance(p, Id):
@@ -502,7 +493,7 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
         in_fn = _occurrences(p.fn, v)
         in_arg = _occurrences(p.arg, v)
         if in_fn and in_arg:
-            if sig.tag != "BCIWK":
+            if sig.discipline.exactly_once:
                 raise CombError(f"variable {v} duplicated ({sig.tag} forbids contraction)")
             # split the occurrences: t1's copies become variable m-1, t2's
             # become variable m; abstract both and contract with W.
@@ -519,9 +510,14 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
             return AppP(AppP(Coef(B), p.fn), inner)
         # occurrences only in the function part
         if poly_arity_of_part(p.arg) == 0:
-            coef = _bullet_for(sig, poly_value(p.arg))
+            # the internalization of the closed argument, native or derived
+            a = poly_value(p.arg)
+            if sig.discipline is Discipline.PLANAR:
+                coef: CTerm = Bullet(a)
+            else:
+                coef = capp(sig.exchange(True), I, a)
             return AppP(AppP(Coef(B), Coef(coef)), _abstract_last(p.fn, sig, m))
-        if sig.tag == "BIbullet":
+        if sig.discipline is Discipline.PLANAR:
             raise CombError(
                 "planar abstraction requires the abstracted variable rightmost"
             )
@@ -548,7 +544,7 @@ def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
     m = poly_arity(p)
     if m == 0:
         raise CombError("polynomial has no variable to abstract")
-    if sig.tag == "BIbullet":
+    if sig.discipline is Discipline.PLANAR:
         order = [l.var for l in _leaves(p)]
         if order != sorted(order):
             raise CombError("planar polynomial requires variables in order")
@@ -593,7 +589,7 @@ def beta_check_abstraction(
 # -- samples ------------------------------------------------------------------------
 
 def _gen(sig: Signature, rng: random.Random, depth: int) -> CTerm:
-    prims = sorted(_SIG_PRIMS[sig.tag])
+    prims = sorted(sig.primitives - {"Tr"})
     roll = rng.random()
     if depth <= 0 or roll < 0.45:
         return Prim(rng.choice(prims))
@@ -606,7 +602,7 @@ def _normalizes(t: CTerm, sig: Signature, fuel: int = 400) -> bool:
     try:
         comb_normal_form(t, sig, fuel=fuel)
         return True
-    except Exception:
+    except FuelExhausted:
         return False
 
 
@@ -618,7 +614,7 @@ def sample_closed(sig: Signature, rng: random.Random, max_depth: int = 4) -> CTe
     """
     while True:
         t = _gen(sig, rng, max_depth)
-        if sig.tag != "BCIWK" or _normalizes(t, sig):
+        if sig.discipline.exactly_once or _normalizes(t, sig):
             return t
 
 
@@ -720,7 +716,7 @@ AXIOM_TABLES = {
 @dataclass
 class AxiomReport:
     axiom: str
-    status: str  # pass | fail | unknown
+    status: str  # pass | fail
     lhs_nf: str
     rhs_nf: str
     witness_bindings: Optional[dict[str, str]] = None
@@ -738,13 +734,14 @@ class AxiomReport:
 def _check_instance(
     lhs: CTerm, rhs: CTerm, sig: Signature, fuel: int
 ) -> tuple[Verdict, str, str]:
-    v = comb_equal(lhs, rhs, sig, fuel=fuel)
+    """The verdict on lhs = rhs and both printed normal forms."""
     try:
-        l = terms.pretty(comb_normal_form(lhs, sig, fuel=fuel))
-        r = terms.pretty(comb_normal_form(rhs, sig, fuel=fuel))
-    except Exception:
-        l = r = "<no normal form>"
-    return v, l, r
+        n1 = comb_normal_form(lhs, sig, fuel=fuel)
+        n2 = comb_normal_form(rhs, sig, fuel=fuel)
+    except FuelExhausted:
+        return Verdict.FUEL_EXHAUSTED, "<no normal form>", "<no normal form>"
+    v = normal_forms_equal(n1, n2, sig.discipline)
+    return v, terms.pretty(n1), terms.pretty(n2)
 
 
 def run_axiom(
@@ -770,8 +767,7 @@ def run_axiom(
             v, l, r = _check_instance(lhs, rhs, sig, fuel)
             last = (l, r)
             if v is not Verdict.EQUAL:
-                status = "unknown" if v is Verdict.UNKNOWN else "fail"
-                return AxiomReport(ax.name, status, l, r, None)
+                return AxiomReport(ax.name, "fail", l, r, None)
         return AxiomReport(ax.name, "pass", *last, None)
     done = retries = 0
     while done < samples:
@@ -787,8 +783,7 @@ def run_axiom(
                 exhausted = True
                 break
             if v is not Verdict.EQUAL:
-                status = "unknown" if v is Verdict.UNKNOWN else "fail"
-                return AxiomReport(ax.name, status, l, r, shown)
+                return AxiomReport(ax.name, "fail", l, r, shown)
         if exhausted:
             retries += 1
             if retries > 20 * samples:
@@ -827,7 +822,7 @@ def classical_S_polynomial() -> PolyExpr:
 
 def derive_classical_S(sig: Signature = BCIWK) -> CTerm:
     """A duplicating composite over B, C, W acting like the classical S."""
-    if sig.tag != "BCIWK":
+    if sig.discipline is not Discipline.CARTESIAN:
         raise CombError("the classical duplicator needs the BCIWK signature")
     derived = bracket_abstract(classical_S_polynomial(), sig)
     frozen = parse_cterm(_S_WORD_SRC)

@@ -32,7 +32,6 @@ from .braids import (
 from .terms import (
     App,
     BraidNode,
-    CheckResult,
     Const,
     Context,
     Discipline,
@@ -42,6 +41,7 @@ from .terms import (
     TermError,
     Var,
     beta_step_at,
+    bind_context,
     check_discipline,
     shift,
     wires,
@@ -51,7 +51,6 @@ from .terms import (
 class Verdict(enum.Enum):
     EQUAL = "Equal"
     NOT_EQUAL = "NotEqual"
-    UNKNOWN = "Unknown"
     FUEL_EXHAUSTED = "FuelExhausted"
 
     def __str__(self) -> str:
@@ -260,8 +259,6 @@ def normalize(
         r = check_discipline(t, d, ctx)
         if not r.ok:
             raise DisciplineError(r.message)
-    from .terms import bind_context
-
     t = bind_context(t, ctx)
     if d.exactly_once:
         t = _beta_normalize_once_checked(t, innermost)
@@ -278,13 +275,11 @@ class CanonicalForm:
 
     Slot paths are strings over {L, F, A} (Lam body / App function / App
     argument) addressing the node the braid wraps in the skeleton.  Trivial
-    words are omitted.  `unknown` marks a form the placement rules could not
-    fully canonicalize (not produced by the current rules; kept for callers).
+    words are omitted.
     """
 
     skeleton: LTerm
     braids: dict[str, BraidWord] = field(default_factory=dict)
-    unknown: bool = False
 
     def rebuild(self) -> LTerm:
         def go(u: LTerm, path: str) -> LTerm:
@@ -321,14 +316,8 @@ def braid_canonicalize(t: LTerm) -> CanonicalForm:
     return CanonicalForm(skeleton, braids)
 
 
-def _skeleton_eq(a: LTerm, b: LTerm) -> bool:
-    return a == b
-
-
 def canonical_equal(a: CanonicalForm, b: CanonicalForm) -> Verdict:
-    if a.unknown or b.unknown:
-        return Verdict.UNKNOWN
-    if not _skeleton_eq(a.skeleton, b.skeleton):
+    if a.skeleton != b.skeleton:
         return Verdict.NOT_EQUAL
     for path in set(a.braids) | set(b.braids):
         wa = a.braids.get(path)
@@ -361,6 +350,11 @@ def lam_equal(
         n2 = normalize(t2, d, fuel=fuel, ctx=ctx, check=False)
     except FuelExhausted:
         return Verdict.FUEL_EXHAUSTED
+    return normal_forms_equal(n1, n2, d)
+
+
+def normal_forms_equal(n1: LTerm, n2: LTerm, d: Discipline) -> Verdict:
+    """Decide equality of two normal forms of discipline d."""
     if d is Discipline.BRAIDED:
         return canonical_equal(braid_canonicalize(n1), braid_canonicalize(n2))
     return Verdict.EQUAL if n1 == n2 else Verdict.NOT_EQUAL

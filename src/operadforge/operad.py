@@ -19,17 +19,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .braids import BraidWord, braid_compose, cable, underlying_permutation
+from .braids import BraidWord, cable, underlying_permutation
 from .comb import (
+    TR,
+    B,
     BCIWK,
-    BCPMI,
     Bullet,
     CApp,
     CombError,
     CTerm,
     ConstRef,
     I,
-    Prim,
     Signature,
     UnsupportedTrace,
     b_power_apply,
@@ -46,9 +46,6 @@ from .comb import (
     subst_consts,
 )
 from .normalize import DEFAULT_FUEL, Verdict
-
-B = Prim("B")
-TR = Prim("Tr")
 
 
 class ArityError(CombError):
@@ -196,17 +193,9 @@ def tensor(
 
 # -- group actions ----------------------------------------------------------------
 
-def _exchange_prim(sig: Signature, positive: bool) -> CTerm:
-    if sig.tag == "BCpmI":
-        return Prim("C+") if positive else Prim("C-")
-    if sig.tag in ("BCI", "BCIWK"):
-        return Prim("C")
-    raise CombError(f"signature {sig.tag} has no exchange combinator")
-
-
 def letter_element(letter: int, sig: Signature) -> CTerm:
     """The operad element realizing the braid generator at index |letter|."""
-    return b_power_apply(abs(letter) - 1, _exchange_prim(sig, letter > 0))
+    return b_power_apply(abs(letter) - 1, sig.exchange(letter > 0))
 
 
 def action_word(s: BraidWord, sig: Signature) -> CTerm:
@@ -260,38 +249,24 @@ def check_equivariance(
 
 # -- the hom to polynomials-as-functions -------------------------------------------
 
-@dataclass(frozen=True)
-class PolyEvaluator:
-    """The polynomial function image of an operad element."""
-
-    source: OperadElem
-
-    @property
-    def arity(self) -> int:
-        return self.source.m
-
-
-def poly_hom_F(f: OperadElem) -> PolyEvaluator:
-    return PolyEvaluator(f)
-
-
 def evaluate(
-    pe: PolyEvaluator,
+    f: OperadElem,
     args: Sequence[CTerm],
     sig: Signature,
     fuel: int = DEFAULT_FUEL,
 ) -> CTerm:
-    """Value of the polynomial at closed arguments: f I a1 .. an, normalized.
+    """Value of the polynomial function of f at closed arguments:
+    f I a1 .. an, normalized.
 
     Operad elements evaluate to applicative combinations of their arguments;
     the normal form is computed with the arguments held abstract and the
     actual arguments substituted back at the end.
     """
-    n = pe.arity
+    n = f.m
     if len(args) != n:
         raise ArityError(f"need {n} arguments, got {len(args)}")
     fresh = [ConstRef(f"_arg{i}") for i in range(n)]
-    expr = capp(pe.source.elem, I, *fresh)
+    expr = capp(f.elem, I, *fresh)
     nf = comb_normal_form(expr, sig, fuel=fuel)
     out = from_lambda_applicative(nf)
     return subst_consts(out, {f"_arg{i}": a for i, a in enumerate(args)})

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .braids import BraidWord, braid_compose, braid_equal, braid_is_trivial, cable, permute_contents
+from .braids import BraidWord, cable, permute_contents
 
 
 class Discipline(enum.Enum):
@@ -246,6 +246,8 @@ def bind_context(t: LTerm, ctx: Context) -> LTerm:
     root, matching a judgment whose last context entry binds innermost.
     """
     n = len(ctx)
+    if n == 0:
+        return t
     pos = {name: i for i, name in enumerate(ctx.names)}
 
     def go(u: LTerm, depth: int) -> LTerm:
@@ -406,53 +408,6 @@ def free_vars(t: LTerm, ctx: Context | None = None) -> list:
         n = len(ctx)
         return [ctx.names[n - 1 - k] for k in wires(bound)]
     return list(wires(t))
-
-
-# -- alpha equality -----------------------------------------------------------
-
-def fuse_braids(t: LTerm) -> LTerm:
-    """Drop trivial braid nodes and fuse adjacent ones (inner word first)."""
-    if isinstance(t, (Var, Const)):
-        return t
-    if isinstance(t, Lam):
-        return Lam(fuse_braids(t.body))
-    if isinstance(t, App):
-        return App(fuse_braids(t.fn), fuse_braids(t.arg))
-    if isinstance(t, BraidNode):
-        body = fuse_braids(t.body)
-        word = t.braid
-        while isinstance(body, BraidNode):
-            word = braid_compose(body.braid, word)
-            body = body.body
-        if braid_is_trivial(word):
-            return body
-        return BraidNode(word, body)
-    raise TermError(f"unknown node {t!r}")
-
-
-def alpha_eq(t1: LTerm, t2: LTerm) -> bool:
-    """Structural equality of de Bruijn representations; braid words are
-    compared as group elements (trivial braids are transparent)."""
-    return _alpha(fuse_braids(t1), fuse_braids(t2))
-
-
-def _alpha(a: LTerm, b: LTerm) -> bool:
-    if isinstance(a, Var):
-        return isinstance(b, Var) and a.index == b.index
-    if isinstance(a, Const):
-        return isinstance(b, Const) and a.name == b.name
-    if isinstance(a, Lam):
-        return isinstance(b, Lam) and _alpha(a.body, b.body)
-    if isinstance(a, App):
-        return isinstance(b, App) and _alpha(a.fn, b.fn) and _alpha(a.arg, b.arg)
-    if isinstance(a, BraidNode):
-        return (
-            isinstance(b, BraidNode)
-            and a.braid.strands == b.braid.strands
-            and braid_equal(a.braid, b.braid)
-            and _alpha(a.body, b.body)
-        )
-    raise TermError(f"unknown node {a!r}")
 
 
 # -- concrete syntax ----------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from operadforge import comb, normalize
 from operadforge.comb import (
     BCI,
     BCIWK,
@@ -15,6 +16,7 @@ from operadforge.comb import (
     Coef,
     CombError,
     ConstRef,
+    PRIM_NAMES,
     Id,
     Prim,
     Signature,
@@ -38,7 +40,7 @@ from operadforge.comb import (
     to_lambda,
 )
 from operadforge.normalize import Verdict
-from operadforge.terms import Discipline, alpha_eq, parse, pretty
+from operadforge.terms import Discipline, parse, pretty
 
 B, C, I, W, K = Prim("B"), Prim("C"), Prim("I"), Prim("W"), Prim("K")
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
@@ -57,6 +59,24 @@ class TestSignature:
             Signature("BIbullet", trace_extension=True)
         with pytest.raises(CombError):
             Signature("SK")
+
+    def test_exchange(self):
+        assert BCPMI.exchange(True) == Prim("C+")
+        assert BCPMI.exchange(False) == Prim("C-")
+        for sig in (BCI, BCIWK):
+            assert sig.exchange(True) == sig.exchange(False) == C
+        for positive in (True, False):
+            with pytest.raises(CombError):
+                BIBULLET.exchange(positive)
+
+    @pytest.mark.parametrize("sig", [BIBULLET, BCI, BCPMI, BCIWK], ids=lambda s: s.tag)
+    @pytest.mark.parametrize("name", [p for p in PRIM_NAMES if p != "Tr"])
+    def test_primitive_fits_discipline_iff_in_signature(self, sig, name):
+        if name in sig.primitives:
+            to_lambda(Prim(name), sig.discipline)
+        else:
+            with pytest.raises(CombError):
+                to_lambda(Prim(name), sig.discipline)
 
 
 class TestSyntax:
@@ -272,6 +292,25 @@ class TestAxiomSuites:
         assert {row["axiom"] for row in parsed} == {"BI", "app*", "B*", "I*", "**"}
         assert all(set(row) == {"axiom", "status", "lhs_nf", "rhs_nf", "witness_bindings"} for row in parsed)
 
+    def test_each_side_normalized_once(self, monkeypatch):
+        calls = []
+        real = normalize.normalize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(normalize, "normalize", counting)
+        monkeypatch.setattr(comb, "normalize", counting)
+        for sig in (BIBULLET, BCI, BCPMI, BCIWK):
+            for ax in comb.AXIOM_TABLES[sig.tag]:
+                if ax.metavars:
+                    continue
+                for lhs, rhs in ax.variants:
+                    calls.clear()
+                    comb._check_instance(parse_cterm(lhs), parse_cterm(rhs), sig, 10_000)
+                    assert len(calls) == 2, (sig.tag, ax.name)
+
     def test_determinism(self):
         r1 = [r.as_dict() for r in axiom_suite(BCI, samples=5, seed=9)]
         r2 = [r.as_dict() for r in axiom_suite(BCI, samples=5, seed=9)]
@@ -314,6 +353,20 @@ class TestSampler:
         for sig in (BIBULLET, BCI, BCPMI, BCIWK):
             for _ in range(20):
                 assert prims_used(sample_closed(sig, rng)) <= set(sig.primitives)
+
+    def test_bug_in_screening_is_raised_not_redrawn(self, monkeypatch):
+        real = comb.comb_normal_form
+        raised = []
+
+        def broken_once(*args, **kwargs):
+            if not raised:
+                raised.append(1)
+                raise AssertionError("beta step failed to shrink")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(comb, "comb_normal_form", broken_once)
+        with pytest.raises(AssertionError):
+            sample_closed(BCIWK, random.Random(0))
 
     def test_cartesian_samples_normalize(self, rng):
         for _ in range(20):

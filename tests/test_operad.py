@@ -41,7 +41,6 @@ from operadforge.operad import (
     infer_arity,
     operad_compose,
     operad_elem,
-    poly_hom_F,
     sample_operad_elem,
     tensor,
     trace_syntax,
@@ -269,23 +268,23 @@ class TestEquivariance:
 
 class TestPolynomialHom:
     def test_app(self):
-        assert evaluate(poly_hom_F(APP_ELEM), [a, b], BIBULLET) == CApp(a, b)
+        assert evaluate(APP_ELEM, [a, b], BIBULLET) == CApp(a, b)
 
     def test_id(self):
-        assert evaluate(poly_hom_F(ID_ELEM), [a], BIBULLET) == a
+        assert evaluate(ID_ELEM, [a], BIBULLET) == a
 
     def test_non_faithfulness_witness(self):
         mp = operad_elem(parse_cterm("C+ o B"), 2, BCPMI)
         mm = operad_elem(parse_cterm("C- o B"), 2, BCPMI)
         assert comb_equal(mp.elem, mm.elem, BCPMI) is Verdict.NOT_EQUAL
         for args in ([a, b], [parse_cterm("B"), parse_cterm("C+")]):
-            va = evaluate(poly_hom_F(mp), args, BCPMI)
-            vb = evaluate(poly_hom_F(mm), args, BCPMI)
+            va = evaluate(mp, args, BCPMI)
+            vb = evaluate(mm, args, BCPMI)
             assert va == CApp(args[1], args[0]) == vb
 
     def test_arity_checked(self):
         with pytest.raises(ArityError):
-            evaluate(poly_hom_F(APP_ELEM), [a], BIBULLET)
+            evaluate(APP_ELEM, [a], BIBULLET)
 
 
 class TestTraceSyntax:

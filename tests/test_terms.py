@@ -3,6 +3,7 @@ import random
 import pytest
 
 from operadforge.braids import parse_braid
+from operadforge.normalize import Verdict, braid_canonicalize, canonical_equal
 from operadforge.terms import (
     App,
     BraidNode,
@@ -12,9 +13,9 @@ from operadforge.terms import (
     Lam,
     ParseError,
     Var,
-    alpha_eq,
     app,
     beta_step_at,
+    bind_context,
     check_discipline,
     free_vars,
     parse,
@@ -201,29 +202,40 @@ class TestSubst:
             assert check_discipline(beta_step_at(fn, arg), P)
 
 
+def canonically_equal(t1, t2) -> bool:
+    """Equal skeletons, with braid words compared as group elements."""
+    return canonical_equal(braid_canonicalize(t1), braid_canonicalize(t2)) is Verdict.EQUAL
+
+
 class TestAlphaEq:
     def test_binder_names_irrelevant(self):
-        assert alpha_eq(parse(r"\x. x"), parse(r"\y. y"))
+        assert parse(r"\x. x") == parse(r"\y. y")
 
     def test_braid_words_compared_as_group_elements(self):
         t1 = BraidNode(parse_braid("{2; 1 -1 1}"), parse("x y"))
         t2 = BraidNode(parse_braid("{2; 1}"), parse("x y"))
-        assert alpha_eq(t1, t2)
+        assert t1 != t2
+        assert canonically_equal(t1, t2)
 
     def test_trivial_braid_transparent(self):
         t1 = BraidNode(parse_braid("{2; 1 -1}"), parse("x y"))
-        assert alpha_eq(t1, parse("x y"))
+        assert canonically_equal(t1, parse("x y"))
 
     def test_opposite_exchanges_differ(self):
         mp = parse(r"\f x y. [{3; 1}] (f (y x))")
         mm = parse(r"\f x y. [{3; -1}] (f (y x))")
-        assert not alpha_eq(mp, mm)
+        assert not canonically_equal(mp, mm)
 
     def test_structure_matters(self):
-        assert not alpha_eq(parse(r"\x. x"), parse(r"\x y. x y"))
-        assert not alpha_eq(Const("a"), Const("b"))
+        assert not canonically_equal(parse(r"\x. x"), parse(r"\x y. x y"))
+        assert not canonically_equal(Const("a"), Const("b"))
 
 
 class TestHelpers:
     def test_app_left_assoc(self):
         assert app(Const("a"), Const("b"), Const("c")) == parse("a b c")
+
+    def test_empty_context_binds_nothing(self):
+        t = parse(r"\x. f x")
+        assert bind_context(t, Context()) is t
+        assert bind_context(t, Context(("f",))) == Lam(App(Var(1), Var(0)))
