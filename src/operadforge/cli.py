@@ -77,16 +77,13 @@ def _read_input(text: str) -> str:
 
 def _parse_lambda(text: str, d: Discipline) -> terms.LTerm:
     """Parse a lambda term, resolving free identifiers that name combinator
-    primitives of the discipline to their lambda images."""
+    primitives to their lambda images in the discipline; a primitive without
+    one there is an error."""
     t = terms.parse(text)
-    images = {
-        name: comb.to_lambda(comb.Prim(name), d)
-        for name in comb.DISCIPLINE_PRIMITIVES[d]
-    }
 
     def resolve(u: terms.LTerm) -> terms.LTerm:
-        if isinstance(u, terms.Const) and u.name in images:
-            return images[u.name]
+        if isinstance(u, terms.Const) and u.name in comb.PRIM_NAMES:
+            return comb.to_lambda(comb.Prim(u.name), d)
         if isinstance(u, terms.Lam):
             return terms.Lam(resolve(u.body))
         if isinstance(u, terms.App):

@@ -521,6 +521,11 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
             raise CombError(
                 "planar abstraction requires the abstracted variable rightmost"
             )
+        if sig.discipline is Discipline.BRAIDED:
+            raise CombError(
+                f"a polynomial carries no crossing sign, so {sig.tag} cannot "
+                "abstract an exchange"
+            )
         return AppP(AppP(Coef(C), _abstract_last(p.fn, sig, m)), p.arg)
     raise CombError("cannot abstract from a coefficient")
 

@@ -1,16 +1,23 @@
 """Beta/eta normalization and per-discipline equality decisions.
 
-For the exactly-once disciplines every beta step strictly shrinks the term,
-so normalization needs no fuel; the cartesian discipline reduces in
-normal order under a fuel bound and reports exhaustion.
+Beta normalization is one normal-order pass: contract head redexes until the
+head is a variable, a constant or an abstraction with nothing applied, then
+normalize the arguments left to right, and the bodies of abstractions.  The
+redexes contracted, and their order, are those of leftmost-outermost
+stepping.  For the exactly-once disciplines every contraction strictly
+shrinks the term, so normalization needs no fuel; the cartesian discipline
+counts its steps against a fuel bound and its size against a cap, and
+reports exhaustion.
 
-Braided terms normalize in three phases: braid nodes are floated to canonical
-slots (directly under the innermost binder of each binder group, or at the
-root), beta/eta steps run with braid-aware substitution, and the result is
-read off as a skeleton plus one braid word per slot.  Equality then compares
-skeletons structurally and slot words by the braid-group word problem.  An
-eta step under a braid fires only when the bound wire's strand is provably
-unentangled (its reduced word avoids the first strand).
+Braided terms keep their braid nodes in canonical slots: directly under the
+innermost binder of each binder group, or at the root.  Each reduct is
+canonicalized on its own and the braid it sheds joins its slot's word, as
+canonicalizing the whole term after the step would.  Eta contraction follows,
+and a normal form is read off as a skeleton plus one braid word per slot.
+Equality then compares skeletons structurally and slot words by the
+braid-group word problem.  An eta step under a braid fires only when the
+bound wire's strand is provably unentangled (its reduced word avoids the
+first strand).
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .terms import (
     Lam,
     TermError,
     Var,
+    app,
     beta_step_at,
     bind_context,
     check_discipline,
@@ -108,20 +116,20 @@ def _canon(t: LTerm) -> LTerm:
     if isinstance(t, (Var, Const)):
         return t
     if isinstance(t, Lam):
-        return Lam(canon_braids(t.body))
+        body = canon_braids(t.body)
+        return t if body is t.body else Lam(body)
     if isinstance(t, App):
         fn = canon_braids(t.fn)
         arg = canon_braids(t.arg)
         wf, fn = _strip_braid(fn)
         wa, arg = _strip_braid(arg)
-        word = None
-        if wf is not None or wa is not None:
-            nf = len(wires(fn))
-            na = len(wires(arg))
-            lifted_f = shift_strands(wf, na) if wf is not None else trivial(nf + na)
-            lifted_a = direct_sum([wa, trivial(nf)]) if wa is not None else trivial(nf + na)
-            word = braid_compose(lifted_a, lifted_f)
-        return _wrap(word, App(fn, arg))
+        if wf is None and wa is None:
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
+        nf = len(wires(fn))
+        na = len(wires(arg))
+        lifted_f = shift_strands(wf, na) if wf is not None else trivial(nf + na)
+        lifted_a = direct_sum([wa, trivial(nf)]) if wa is not None else trivial(nf + na)
+        return _wrap(braid_compose(lifted_a, lifted_f), App(fn, arg))
     if isinstance(t, BraidNode):
         body = canon_braids(t.body)
         word = t.braid
@@ -133,66 +141,133 @@ def _canon(t: LTerm) -> LTerm:
             return canon_braids(Lam(BraidNode(shift_strands(word, 1), body.body)))
         if braid_is_trivial(word):
             return body
-        return BraidNode(word, body)
+        return t if body is t.body else BraidNode(word, body)
     raise TermError(f"unknown node {t!r}")
 
 
 # -- beta reduction -------------------------------------------------------------
 
-def _find_and_reduce(t: LTerm, innermost: bool) -> LTerm | None:
-    """One beta step at the leftmost-outermost (or -innermost) redex."""
-    if isinstance(t, (Var, Const)):
-        return None
-    if isinstance(t, App):
-        if not innermost and isinstance(t.fn, Lam):
-            return beta_step_at(t.fn, t.arg)
-        r = _find_and_reduce(t.fn, innermost)
-        if r is not None:
-            return App(r, t.arg)
-        r = _find_and_reduce(t.arg, innermost)
-        if r is not None:
-            return App(t.fn, r)
-        if innermost and isinstance(t.fn, Lam):
-            return beta_step_at(t.fn, t.arg)
-        return None
-    if isinstance(t, Lam):
-        r = _find_and_reduce(t.body, innermost)
-        return None if r is None else Lam(r)
-    if isinstance(t, BraidNode):
-        r = _find_and_reduce(t.body, innermost)
-        return None if r is None else BraidNode(t.braid, r)
-    raise TermError(f"unknown node {t!r}")
+class _Slot:
+    """Where the braids shed by contractions in a binder group's body (or in
+    the root) land: the braid word over that body, None when trivial, and
+    the body as the pass found it.  Contracting exactly-once redexes keeps
+    every wire, so that body's wire count is the word's width throughout."""
+
+    __slots__ = ("word", "body")
+
+    def __init__(self, word: BraidWord | None, body: LTerm):
+        self.word = word
+        self.body = body
+
+    def shed(self, w: BraidWord, right: tuple | None) -> None:
+        """Lift w, the braid of a reduct, into the slot word, in front of it.
+
+        `right` is the chain (terms, start, outer) of the terms to the
+        reduct's right in the slot's body: terms[start:], then outer's.
+        Their wires ride the strands below the reduct's.
+        """
+        k = 0
+        while right is not None:
+            seq, start, right = right
+            for u in seq[start:]:
+                k += len(wires(u))
+        width = self.word.strands if self.word is not None else len(wires(self.body))
+        lifted = direct_sum([trivial(k), w, trivial(width - k - w.strands)])
+        if self.word is None:
+            self.word = lifted
+        else:
+            word = braid_compose(lifted, self.word)
+            self.word = None if braid_is_trivial(word) else word
 
 
-def _beta_normalize_once_checked(t: LTerm, innermost: bool) -> LTerm:
-    """Beta-normalize an exactly-once term, asserting strict size decrease."""
-    t = canon_braids(t)
-    while True:
-        r = _find_and_reduce(t, innermost)
-        if r is None:
-            return t
-        r = canon_braids(r)
-        if r.size >= t.size:
-            raise AssertionError(
-                f"beta step failed to shrink an exactly-once term: {t.size} -> {r.size}"
-            )
-        t = r
+class _NormalOrder:
+    """One normal-order pass: contract head redexes, then normalize the
+    arguments left to right.
 
+    This contracts the leftmost-outermost redex each time, as stepping from
+    the root would, without rescanning the normal prefix.  In the
+    exactly-once disciplines each reduct is canonicalized on its own and the
+    braid it sheds is lifted into its slot (`_Slot.shed`), which leaves the
+    term exactly as canonicalizing it whole after the step would.  With
+    `fuel` set (cartesian) the steps are counted and the whole term's size
+    is kept up to date against SIZE_CAP.
+    """
 
-def _beta_normalize_fuelled(t: LTerm, fuel: int) -> LTerm:
-    steps = 0
-    while True:
-        r = _find_and_reduce(t, innermost=False)
-        if r is None:
-            return t
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"no beta-normal form within {fuel} steps")
-        if r.size > SIZE_CAP:
-            raise FuelExhausted(
-                f"term grew past {SIZE_CAP} nodes after {steps} steps"
-            )
-        t = r
+    def __init__(self, fuel: int | None, size: int):
+        self.fuel = fuel
+        self.size = size
+        self.steps = 0
+
+    def scope(self, t: LTerm) -> LTerm:
+        """Normal form of t, the content of a slot (the root or a λ body)."""
+        binders = 0
+        while True:
+            word = None
+            if isinstance(t, BraidNode):
+                word, t = t.braid, t.body
+            slot = _Slot(word, t)
+            head, stack = self._head(t, slot, None)
+            if stack or not isinstance(head, Lam):
+                break
+            # the body became a λ: the slot word moves under the binder
+            if slot.word is not None:
+                head = canon_braids(BraidNode(slot.word, head))
+            binders += 1
+            t = head.body
+        body = self._args(head, stack, slot, None)
+        if slot.word is not None:
+            body = BraidNode(slot.word, body)
+        for _ in range(binders):
+            body = Lam(body)
+        return body
+
+    def _nf(self, t: LTerm, slot: _Slot, right: tuple | None) -> LTerm:
+        """Normal form of t, an argument inside slot's body."""
+        head, stack = self._head(t, slot, right)
+        if not stack and isinstance(head, Lam):
+            return Lam(self.scope(head.body))
+        return self._args(head, stack, slot, right)
+
+    def _head(self, t: LTerm, slot: _Slot, right: tuple | None) -> tuple[LTerm, list]:
+        """Contract t's head redexes; returns the head and the arguments,
+        the first one last."""
+        stack = []
+        while True:
+            while isinstance(t, App):
+                stack.append(t.arg)
+                t = t.fn
+            if not (stack and isinstance(t, Lam)):
+                return t, stack
+            arg = stack.pop()
+            t = self._contract(t, arg, slot, (stack, 0, right))
+
+    def _args(self, head: LTerm, stack: list, slot: _Slot, right: tuple | None) -> LTerm:
+        args = stack[::-1]
+        for j, a in enumerate(args):
+            args[j] = self._nf(a, slot, (args, j + 1, right))
+        return app(head, *args)
+
+    def _contract(self, fn: Lam, arg: LTerm, slot: _Slot, right: tuple) -> LTerm:
+        r = beta_step_at(fn, arg)
+        redex = fn.size + arg.size + 1
+        self.steps += 1
+        if self.fuel is None:
+            if r.size >= redex:
+                raise AssertionError(
+                    f"beta step failed to shrink an exactly-once redex: {redex} -> {r.size}"
+                )
+            if r.has_braid:
+                r = canon_braids(r)
+                if isinstance(r, BraidNode):
+                    slot.shed(r.braid, right)
+                    r = r.body
+            return r
+        if self.steps > self.fuel:
+            raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
+        self.size += r.size - redex
+        if self.size > SIZE_CAP:
+            raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {self.steps} steps")
+        return r
 
 
 # -- eta contraction -------------------------------------------------------------
@@ -247,7 +322,6 @@ def normalize(
     d: Discipline,
     fuel: int = DEFAULT_FUEL,
     ctx: Context = Context(),
-    innermost: bool = False,
     check: bool = True,
 ) -> LTerm:
     """Beta-normal, maximally eta-contracted form of t.
@@ -261,9 +335,9 @@ def normalize(
             raise DisciplineError(r.message)
     t = bind_context(t, ctx)
     if d.exactly_once:
-        t = _beta_normalize_once_checked(t, innermost)
+        t = _NormalOrder(None, 0).scope(canon_braids(t))
     else:
-        t = _beta_normalize_fuelled(t, fuel)
+        t = _NormalOrder(fuel, t.size).scope(t)
     return eta_contract(t)
 
 

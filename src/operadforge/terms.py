@@ -285,40 +285,37 @@ def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
     raise TermError(f"unknown node {t!r}")
 
 
-def subst(t: LTerm, level: int, arg: LTerm) -> LTerm:
-    """Substitute arg for Var(level) in t (arg already lifted to t's depth).
-
-    Under a braid node the strand carrying the substituted variable is
-    replaced by as many parallel strands as arg has wires (width 0 deletes
-    it), by cabling the word.
-    """
-    if t.max_free <= level:
-        return t
-    if isinstance(t, Var):
-        return arg if t.index == level else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Lam):
-        return Lam(subst(t.body, level + 1, shift(arg, 1)))
-    if isinstance(t, App):
-        return App(subst(t.fn, level, arg), subst(t.arg, level, arg))
-    if isinstance(t, BraidNode):
-        outer = wires(t)
-        if level not in outer:
-            return BraidNode(t.braid, subst(t.body, level, arg))
-        if outer.count(level) != 1:
-            raise DisciplineError("duplicated wire under a braid node")
-        pos = outer.index(level)
-        strand = len(outer) - pos
-        widths = [1] * len(outer)
-        widths[strand - 1] = len(wires(arg))
-        return BraidNode(cable(t.braid, widths), subst(t.body, level, arg))
-    raise TermError(f"unknown node {t!r}")
-
-
 def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
-    """Contract the redex (\\x.body) arg."""
-    return shift(subst(fn.body, 0, shift(arg, 1)), -1)
+    """Contract the redex (\\x.body) arg in one traversal of the body.
+
+    The bound variable becomes arg, lifted past the binders above it, and
+    the body's other free variables move down by one.  Under a braid node
+    the strand carrying the bound variable is replaced by as many parallel
+    strands as arg has wires (width 0 deletes it), by cabling the word.
+    """
+
+    def go(t: LTerm, depth: int) -> LTerm:
+        if t.max_free <= depth:
+            return t
+        if isinstance(t, Var):
+            return shift(arg, depth) if t.index == depth else Var(t.index - 1)
+        if isinstance(t, Lam):
+            return Lam(go(t.body, depth + 1))
+        if isinstance(t, App):
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if isinstance(t, BraidNode):
+            outer = wires(t)
+            braid = t.braid
+            if depth in outer:
+                if outer.count(depth) != 1:
+                    raise DisciplineError("duplicated wire under a braid node")
+                widths = [1] * len(outer)
+                widths[len(outer) - 1 - outer.index(depth)] = len(wires(arg))
+                braid = cable(braid, widths)
+            return BraidNode(braid, go(t.body, depth))
+        raise TermError(f"unknown node {t!r}")
+
+    return go(fn.body, 0)
 
 
 # -- discipline checking ------------------------------------------------------

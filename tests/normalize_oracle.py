@@ -1,0 +1,148 @@
+"""Reference beta normalizer: the step-and-rescan stepper.
+
+Each step searches the whole term from the root for its leftmost-outermost
+(or leftmost-innermost) redex, contracts it by substitution followed by a
+downward shift, rebuilds the path back to the root and re-canonicalizes the
+whole term's braids.  `operadforge.normalize.normalize` contracts the same
+redexes in the same order in one pass; this module is the differential
+oracle that checks it, and the second strategy that strategy-independence
+tests compare against.
+"""
+
+from __future__ import annotations
+
+from operadforge.braids import cable
+from operadforge.normalize import (
+    DEFAULT_FUEL,
+    SIZE_CAP,
+    FuelExhausted,
+    canon_braids,
+    eta_contract,
+)
+from operadforge.terms import (
+    App,
+    BraidNode,
+    Const,
+    Context,
+    Discipline,
+    DisciplineError,
+    Lam,
+    LTerm,
+    TermError,
+    Var,
+    bind_context,
+    check_discipline,
+    shift,
+    wires,
+)
+
+
+def subst(t: LTerm, level: int, arg: LTerm) -> LTerm:
+    """Substitute arg for Var(level) in t (arg already lifted to t's depth).
+
+    Under a braid node the strand carrying the substituted variable is
+    replaced by as many parallel strands as arg has wires (width 0 deletes
+    it), by cabling the word.
+    """
+    if t.max_free <= level:
+        return t
+    if isinstance(t, Var):
+        return arg if t.index == level else t
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Lam):
+        return Lam(subst(t.body, level + 1, shift(arg, 1)))
+    if isinstance(t, App):
+        return App(subst(t.fn, level, arg), subst(t.arg, level, arg))
+    if isinstance(t, BraidNode):
+        outer = wires(t)
+        if level not in outer:
+            return BraidNode(t.braid, subst(t.body, level, arg))
+        if outer.count(level) != 1:
+            raise DisciplineError("duplicated wire under a braid node")
+        pos = outer.index(level)
+        strand = len(outer) - pos
+        widths = [1] * len(outer)
+        widths[strand - 1] = len(wires(arg))
+        return BraidNode(cable(t.braid, widths), subst(t.body, level, arg))
+    raise TermError(f"unknown node {t!r}")
+
+
+def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
+    """Contract the redex (\\x.body) arg."""
+    return shift(subst(fn.body, 0, shift(arg, 1)), -1)
+
+
+def _find_and_reduce(t: LTerm, innermost: bool) -> LTerm | None:
+    """One beta step at the leftmost-outermost (or -innermost) redex."""
+    if isinstance(t, (Var, Const)):
+        return None
+    if isinstance(t, App):
+        if not innermost and isinstance(t.fn, Lam):
+            return beta_step_at(t.fn, t.arg)
+        r = _find_and_reduce(t.fn, innermost)
+        if r is not None:
+            return App(r, t.arg)
+        r = _find_and_reduce(t.arg, innermost)
+        if r is not None:
+            return App(t.fn, r)
+        if innermost and isinstance(t.fn, Lam):
+            return beta_step_at(t.fn, t.arg)
+        return None
+    if isinstance(t, Lam):
+        r = _find_and_reduce(t.body, innermost)
+        return None if r is None else Lam(r)
+    if isinstance(t, BraidNode):
+        r = _find_and_reduce(t.body, innermost)
+        return None if r is None else BraidNode(t.braid, r)
+    raise TermError(f"unknown node {t!r}")
+
+
+def _beta_normalize_once_checked(t: LTerm, innermost: bool) -> LTerm:
+    """Beta-normalize an exactly-once term, asserting strict size decrease."""
+    t = canon_braids(t)
+    while True:
+        r = _find_and_reduce(t, innermost)
+        if r is None:
+            return t
+        r = canon_braids(r)
+        if r.size >= t.size:
+            raise AssertionError(
+                f"beta step failed to shrink an exactly-once term: {t.size} -> {r.size}"
+            )
+        t = r
+
+
+def _beta_normalize_fuelled(t: LTerm, fuel: int) -> LTerm:
+    steps = 0
+    while True:
+        r = _find_and_reduce(t, innermost=False)
+        if r is None:
+            return t
+        steps += 1
+        if steps > fuel:
+            raise FuelExhausted(f"no beta-normal form within {fuel} steps")
+        if r.size > SIZE_CAP:
+            raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {steps} steps")
+        t = r
+
+
+def normalize(
+    t: LTerm,
+    d: Discipline,
+    fuel: int = DEFAULT_FUEL,
+    ctx: Context = Context(),
+    innermost: bool = False,
+    check: bool = True,
+) -> LTerm:
+    """Beta-normal, maximally eta-contracted form of t, by stepping."""
+    if check:
+        r = check_discipline(t, d, ctx)
+        if not r.ok:
+            raise DisciplineError(r.message)
+    t = bind_context(t, ctx)
+    if d.exactly_once:
+        t = _beta_normalize_once_checked(t, innermost)
+    else:
+        t = _beta_normalize_fuelled(t, fuel)
+    return eta_contract(t)

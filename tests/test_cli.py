@@ -38,6 +38,18 @@ class TestNorm:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "d,src", [("planar", "C M N"), ("linear", "C+ M"), ("braided", "W M"), ("cartesian", "C- M")]
+    )
+    def test_primitive_outside_discipline_exit_1(self, capsys, d, src):
+        code, out, err = run(capsys, "norm", "-d", d, src)
+        assert code == 1 and out == ""
+        assert err.startswith("error: primitive ") and "does not fit" in err
+
+    def test_trace_primitive_exit_3(self, capsys):
+        assert run(capsys, "norm", "-d", "braided", "Tr M")[0] == 3
+        assert run(capsys, "eq", "-d", "linear", "Tr", "Tr")[0] == 3
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "norm", "-d", "planar", "--tree", r"\x. x")
         assert code == 0

@@ -214,6 +214,13 @@ class TestBracketAbstraction:
             bracket_abstract(swapped, BIBULLET)
         assert beta_check_abstraction(swapped, BCI, samples=2) is Verdict.EQUAL
 
+    def test_braided_exchange_needs_a_sign(self):
+        # x1 x0: abstracting x1 must cross it over x0, and a polynomial
+        # does not say whether by C+ or by C-
+        with pytest.raises(CombError, match="no crossing sign"):
+            bracket_abstract(AppP(Id(1), Id(0)), BCPMI)
+        assert beta_check_abstraction(AppP(Id(0), Id(1)), BCPMI, samples=2) is Verdict.EQUAL
+
     def test_linear_forbids_weakening_and_contraction(self):
         with pytest.raises(CombError):
             bracket_abstract(AppP(Coef(a), Coef(b)), BCI)  # no variable at all

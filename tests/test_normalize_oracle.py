@@ -1,0 +1,286 @@
+"""The one-pass normalizer against the stepping oracle in normalize_oracle.py.
+
+Both must contract the same redexes: same normal form (`==` and printed),
+same exception type and message, and the same number of contractions.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import normalize_oracle as oracle
+from conftest import braid_words
+from operadforge import comb, operad
+from operadforge import normalize as normalize_module
+from operadforge.braids import BraidWord
+from operadforge.normalize import normalize
+from operadforge.terms import (
+    App,
+    BraidNode,
+    Const,
+    Context,
+    Discipline,
+    DisciplineError,
+    Lam,
+    Var,
+    beta_step_at,
+    parse,
+    pretty,
+    wires,
+)
+
+P, L, BR, CA = Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN
+SIG_OF = {sig.discipline: sig for sig in comb.SIGNATURES.values()}
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except Exception as e:  # the comparison covers every exception
+        return ("raised", type(e), str(e))
+
+
+def _run(module, call):
+    """(outcome, contractions) of call(), counting module.beta_step_at."""
+    count = 0
+    contract = module.beta_step_at
+
+    def counting(fn, arg):
+        nonlocal count
+        count += 1
+        return contract(fn, arg)
+
+    module.beta_step_at = counting
+    try:
+        out = _outcome(call)
+    finally:
+        module.beta_step_at = contract
+    return out, count
+
+
+def assert_same(t, d, **kw):
+    new, steps = _run(normalize_module, lambda: normalize(t, d, **kw))
+    old, oracle_steps = _run(oracle, lambda: oracle.normalize(t, d, **kw))
+    assert steps == oracle_steps, pretty(t)
+    if old[0] == "ok":
+        assert new[0] == "ok", (pretty(t), new)
+        assert new[1] == old[1], pretty(t)
+        assert pretty(new[1]) == pretty(old[1])
+    else:
+        assert new == old, pretty(t)
+    return new
+
+
+def cterms(sig, max_leaves=14):
+    """Expressions over sig's primitives, internalization and two constants."""
+    leaves = [comb.Prim(p) for p in sorted(sig.primitives)] + [
+        comb.ConstRef("a"),
+        comb.ConstRef("b"),
+    ]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(st.builds(comb.CApp, sub, sub), st.builds(comb.Bullet, sub)),
+        max_leaves=max_leaves,
+    )
+
+
+def _cases(d):
+    sig = SIG_OF[d]
+    fuel = st.integers(0, 60) if d is CA else st.just(10_000)
+    shape = st.sampled_from(["closed", "applied", "spine"])
+    return st.tuples(cterms(sig), cterms(sig), shape, fuel)
+
+
+def _shaped(d, c1, c2, shape):
+    """The term and context for a case: c1 closed; c1 applied to two context
+    variables; or a variable head applied to c1 x y and c2 z w, so that
+    braids shed in both arguments meet in one slot."""
+    t1, t2 = comb.to_lambda(c1, d), comb.to_lambda(c2, d)
+    x, y, z, w = (Const(n) for n in "xyzw")
+    if shape == "closed":
+        return t1, Context()
+    if shape == "applied":
+        return App(App(t1, x), y), Context(("x", "y"))
+    spine = App(App(Const("f"), App(App(t1, x), y)), App(App(t2, z), w))
+    return spine, Context(("f", "x", "y", "z", "w"))
+
+
+@pytest.mark.parametrize("d", [P, L, BR, CA], ids=lambda d: d.value)
+def test_combinator_images(d):
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_cases(d))
+    def check(case):
+        c1, c2, shape, fuel = case
+        t, ctx = _shaped(d, c1, c2, shape)
+        assert_same(t, d, fuel=fuel, ctx=ctx)
+
+    check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.integers(5, 40))
+def test_planar_generated(seed, size):
+    from operadforge.acceptance import _gen_closed_planar
+
+    assert_same(_gen_closed_planar(random.Random(seed), size), P)
+
+
+def test_braided_redexes_from_literals():
+    """Braided exchanges and twists applied to one another."""
+    sources = [
+        r"\f x y. [{3; 1}] (f y x)",
+        r"\f x y. [{3; -1}] (f y x)",
+        r"\f x y. [{3; 1 1}] (f x y)",
+        r"\f x y. [{3; 2 1 -2}] (f (y x))",
+        r"\f x y. f (x y)",
+        r"\u. u",
+    ]
+    lams_ = [parse(s) for s in sources]
+    for a, b, c in itertools.product(lams_, repeat=3):
+        assert_same(App(App(a, b), c), BR)
+        assert_same(App(a, App(b, c)), BR)
+
+
+def test_braids_shed_in_two_arguments_compose_in_order():
+    # each argument sheds {2; 1}, the left one first; a later lift goes in
+    # front of the slot word
+    ex = r"(\a b. [{2; 1}] (b a))"
+    t = parse(f"f ({ex} x y) ({ex} z w)")
+    ctx = Context(("f", "x", "y", "z", "w"))
+    n = assert_same(t, BR, ctx=ctx)[1]
+    assert n.braid == BraidWord(5, (1, 3))
+
+
+def _pool_inputs(seed, ops):
+    """The terms that check_equivariance normalizes on pools of BCpmI
+    elements a* o B^m, drawn as the equivariance workload draws them."""
+    sig = comb.BCPMI
+    prims = [comb.Prim(name) for name in sorted(sig.primitives)]
+    rng = random.Random(seed)
+
+    def depth1():
+        roll = rng.random()
+        if roll < 0.45:
+            return rng.choice(prims)
+        if roll < 0.6:
+            return comb.Bullet(rng.choice(prims))
+        return comb.CApp(rng.choice(prims), rng.choice(prims))
+
+    pools = {
+        m: [
+            operad.OperadElem(comb.compose(comb.Bullet(depth1()), comb.b_power_element(m)), m)
+            for _ in range(8)
+        ]
+        for m in range(4)
+    }
+    seen = []
+
+    def recording(t, d, fuel=normalize_module.DEFAULT_FUEL, ctx=Context(), check=True):
+        seen.append((t, d, fuel, ctx))
+        return normalize(t, d, fuel=fuel, ctx=ctx, check=check)
+
+    normalize_module.normalize = recording
+    try:
+        for _ in range(ops):
+            k = rng.choice((1, 2, 3))
+            letters = [i for i in range(-(k - 1), k) if i != 0]
+            word = tuple(rng.choice(letters) for _ in range(rng.randrange(3))) if letters else ()
+            js = [rng.randrange(3) for _ in range(k)]
+            i = rng.randrange(8)
+            gs = [pools[j][(i + off + 1) % 8] for off, j in enumerate(js)]
+            operad.check_equivariance(pools[k][i], gs, BraidWord(k, word), sig)
+    finally:
+        normalize_module.normalize = normalize
+    return seen
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_operad_pool_expressions(seed):
+    inputs = _pool_inputs(seed, 24)
+    assert len(inputs) == 48
+    for t, d, fuel, ctx in inputs:
+        assert_same(t, d, fuel=fuel, ctx=ctx)
+
+
+CARTESIAN_LIMITS = [
+    (r"(\x. x x) (\x. x x)", 0),
+    (r"(\x. x x) (\x. x x)", 1),
+    (r"(\x. x x) (\x. x x)", 100),
+    (r"(\x. x x x) (\x. x x x)", 10**9),
+    (r"(\x. x x x) (\x. x x x)", 7),
+    (r"(\f x. f (f x)) (\f x. f (f x)) (\f x. f (f x)) (\f x. f (f x)) (\f x. f (f x))", 10**6),
+    (r"(\x y. y) ((\x. x x) (\x. x x)) a", 3),
+    (r"(\x y. x) a ((\x. x x) (\x. x x))", 1),
+    (r"(\x y. x) a ((\x. x x) (\x. x x))", 0),
+    (r"(\x. a (x x)) (\x. a (x x))", 40),
+]
+
+
+def test_cartesian_fuel_and_size_cap():
+    outcomes = [str(assert_same(parse(src), CA, fuel=fuel)[-1]) for src, fuel in CARTESIAN_LIMITS]
+    assert any("within" in o for o in outcomes)
+    assert any("grew past" in o for o in outcomes)
+
+
+# -- one contraction -------------------------------------------------------------
+
+
+@st.composite
+def spines(draw, wires_):
+    """A term whose free wires are exactly `wires_`, in some order, with
+    braid nodes over random groups."""
+    if len(wires_) == 1:
+        return Var(wires_[0])
+    if draw(st.booleans()) and len(wires_) <= 4:
+        # an abstraction whose bound wire comes last
+        return Lam(draw(spines([w + 1 for w in wires_] + [0])))
+    k = draw(st.integers(1, len(wires_) - 1))
+    t = App(draw(spines(wires_[:k])), draw(spines(wires_[k:])))
+    if draw(st.booleans()):
+        word = draw(braid_words(max_strands=len(wires_), max_len=4, min_strands=len(wires_)))
+        t = BraidNode(word, t)
+    return t
+
+
+ARGS = {
+    "width0": Const("a"),
+    "width1": Var(4),
+    "width2": App(Var(4), Var(5)),
+    "width3": App(App(Var(4), Var(6)), Var(5)),
+    "lambda": Lam(App(Var(0), Var(5))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.permutations(list(range(n)))).flatmap(spines),
+    st.sampled_from(sorted(ARGS)),
+    st.booleans(),
+)
+def test_beta_step_at_matches_substitution(body, arg_name, duplicate):
+    if duplicate:
+        # the bound wire twice under one braid node
+        n = len(wires(body))
+        body = BraidNode(BraidWord(n + 1, (1,)), App(body, Var(0)))
+    fn, arg = Lam(body), ARGS[arg_name]
+    assert _outcome(lambda: beta_step_at(fn, arg)) == _outcome(lambda: oracle.beta_step_at(fn, arg))
+
+
+def test_beta_step_at_cabling_widths():
+    # f rides strand 3 of the braid; arguments of width 0, 1 and 2 replace it
+    fn = parse(r"\f x y. [{3; 1}] (f y x)")
+    for arg, strands in ((Const("m"), 2), (Var(7), 3), (App(Var(7), Var(8)), 4)):
+        got = beta_step_at(fn, arg)
+        assert got == oracle.beta_step_at(fn, arg)
+        assert got.body.body.braid.strands == strands
+
+
+def test_beta_step_at_duplicated_wire():
+    fn = Lam(BraidNode(BraidWord(2, (1,)), App(Var(0), Var(0))))
+    with pytest.raises(DisciplineError, match="duplicated wire under a braid node"):
+        beta_step_at(fn, Const("a"))
+    with pytest.raises(DisciplineError, match="duplicated wire under a braid node"):
+        oracle.beta_step_at(fn, Const("a"))

@@ -20,9 +20,9 @@ from operadforge.terms import (
     free_vars,
     parse,
     pretty,
-    subst,
     wires,
 )
+from normalize_oracle import subst
 
 P, L, BR, CA = Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN
 
