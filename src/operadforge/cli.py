@@ -376,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TermError, DisciplineError, comb.CombError, braids.DimensionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

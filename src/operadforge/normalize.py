@@ -10,14 +10,16 @@ counts its steps against a fuel bound and its size against a cap, and
 reports exhaustion.
 
 Braided terms keep their braid nodes in canonical slots: directly under the
-innermost binder of each binder group, or at the root.  Each reduct is
-canonicalized on its own and the braid it sheds joins its slot's word, as
-canonicalizing the whole term after the step would.  Eta contraction follows,
-and a normal form is read off as a skeleton plus one braid word per slot.
-Equality then compares skeletons structurally and slot words by the
-braid-group word problem.  An eta step under a braid fires only when the
-bound wire's strand is provably unentangled (its reduced word avoids the
-first strand).
+innermost binder of each binder group, or at the root.  Reducts are built
+canonical: `terms.beta_step_at` applies the node rules (`terms.canon_app`,
+`terms.canon_wrap`) at every node it rebuilds, and the braid a reduct sheds
+joins its slot's word, as canonicalizing the whole term after the step
+would.  The nodes the pass builds carry the `canon` flag, so its output is
+not canonicalized again.  Eta contraction follows, and a normal form is read
+off as a skeleton plus one braid word per slot.  Equality then compares
+skeletons structurally and slot words by the braid-group word problem.  An
+eta step under a braid fires only when the bound wire's strand is provably
+unentangled (its reduced word avoids the first strand).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .braids import (
     braid_is_trivial,
     direct_sum,
     remove_strand_one,
-    shift_strands,
     trivial,
 )
 from .terms import (
@@ -50,6 +51,8 @@ from .terms import (
     app,
     beta_step_at,
     bind_context,
+    canon_app,
+    canon_wrap,
     check_discipline,
     shift,
     wires,
@@ -83,29 +86,17 @@ if sys.getrecursionlimit() < _MIN_RECURSION:
 
 # -- canonical braid placement -------------------------------------------------
 
-def _strip_braid(t: LTerm) -> tuple[BraidWord | None, LTerm]:
-    if isinstance(t, BraidNode):
-        return t.braid, t.body
-    return None, t
-
-
-def _wrap(word: BraidWord | None, t: LTerm) -> LTerm:
-    if word is None or braid_is_trivial(word):
-        return t
-    return BraidNode(word, t)
-
-
 def canon_braids(t: LTerm) -> LTerm:
     """Float braid nodes to canonical slots.
 
     After this pass a braid node only wraps a non-Lam body and never sits in
     the function or argument position of an application, so beta redexes are
-    syntactically visible.  Node identity: applications lift their children's
-    braids (block-shifted), Lams swallow braids from above (strand-shifted by
-    one), and adjacent braids fuse (inner word first).
+    syntactically visible.  The node rules are `terms.canon_app` and
+    `terms.canon_wrap`: applications lift their children's braids
+    (block-shifted), Lams swallow braids from above (strand-shifted by one),
+    and adjacent braids fuse (inner word first).
     """
-    if t.canon or not t.has_braid:
-        t.canon = True
+    if t.canon:
         return t
     out = _canon(t)
     out.canon = True
@@ -113,36 +104,19 @@ def canon_braids(t: LTerm) -> LTerm:
 
 
 def _canon(t: LTerm) -> LTerm:
-    if isinstance(t, (Var, Const)):
-        return t
+    """Canonical form of t, which is t itself when no rule fires under it."""
     if isinstance(t, Lam):
         body = canon_braids(t.body)
         return t if body is t.body else Lam(body)
     if isinstance(t, App):
-        fn = canon_braids(t.fn)
-        arg = canon_braids(t.arg)
-        wf, fn = _strip_braid(fn)
-        wa, arg = _strip_braid(arg)
-        if wf is None and wa is None:
-            return t if fn is t.fn and arg is t.arg else App(fn, arg)
-        nf = len(wires(fn))
-        na = len(wires(arg))
-        lifted_f = shift_strands(wf, na) if wf is not None else trivial(nf + na)
-        lifted_a = direct_sum([wa, trivial(nf)]) if wa is not None else trivial(nf + na)
-        return _wrap(braid_compose(lifted_a, lifted_f), App(fn, arg))
-    if isinstance(t, BraidNode):
-        body = canon_braids(t.body)
-        word = t.braid
-        while isinstance(body, BraidNode):
-            word = braid_compose(body.braid, word)
-            body = body.body
-        if isinstance(body, Lam):
-            # push under the binder: the bound wire becomes strand 1
-            return canon_braids(Lam(BraidNode(shift_strands(word, 1), body.body)))
-        if braid_is_trivial(word):
-            return body
-        return t if body is t.body else BraidNode(word, body)
-    raise TermError(f"unknown node {t!r}")
+        out = canon_app(canon_braids(t.fn), canon_braids(t.arg))
+        same = type(out) is App and out.fn is t.fn and out.arg is t.arg
+    elif isinstance(t, BraidNode):
+        out = canon_wrap(t.braid, canon_braids(t.body))
+        same = type(out) is BraidNode and out.braid is t.braid and out.body is t.body
+    else:
+        raise TermError(f"unknown node {t!r}")
+    return t if same else out
 
 
 # -- beta reduction -------------------------------------------------------------
@@ -186,11 +160,11 @@ class _NormalOrder:
 
     This contracts the leftmost-outermost redex each time, as stepping from
     the root would, without rescanning the normal prefix.  In the
-    exactly-once disciplines each reduct is canonicalized on its own and the
-    braid it sheds is lifted into its slot (`_Slot.shed`), which leaves the
-    term exactly as canonicalizing it whole after the step would.  With
-    `fuel` set (cartesian) the steps are counted and the whole term's size
-    is kept up to date against SIZE_CAP.
+    exactly-once disciplines each reduct comes out of `beta_step_at`
+    canonical and the braid it sheds is lifted into its slot (`_Slot.shed`),
+    which leaves the term exactly as canonicalizing it whole after the step
+    would.  With `fuel` set (cartesian) the steps are counted and the whole
+    term's size is kept up to date against SIZE_CAP.
     """
 
     def __init__(self, fuel: int | None, size: int):
@@ -211,12 +185,12 @@ class _NormalOrder:
                 break
             # the body became a λ: the slot word moves under the binder
             if slot.word is not None:
-                head = canon_braids(BraidNode(slot.word, head))
+                head = canon_wrap(slot.word, head)
             binders += 1
             t = head.body
         body = self._args(head, stack, slot, None)
         if slot.word is not None:
-            body = BraidNode(slot.word, body)
+            body = BraidNode(slot.word, body, canon=body.canon)
         for _ in range(binders):
             body = Lam(body)
         return body
@@ -252,15 +226,16 @@ class _NormalOrder:
         redex = fn.size + arg.size + 1
         self.steps += 1
         if self.fuel is None:
-            if r.size >= redex:
+            # the size of the reduct before canonicalization, which puts
+            # arg in place of each occurrence of the bound variable
+            raw = fn.body.size + wires(fn.body).count(0) * (arg.size - 1)
+            if raw >= redex:
                 raise AssertionError(
-                    f"beta step failed to shrink an exactly-once redex: {redex} -> {r.size}"
+                    f"beta step failed to shrink an exactly-once redex: {redex} -> {raw}"
                 )
-            if r.has_braid:
-                r = canon_braids(r)
-                if isinstance(r, BraidNode):
-                    slot.shed(r.braid, right)
-                    r = r.body
+            if type(r) is BraidNode:
+                slot.shed(r.braid, right)
+                r = r.body
             return r
         if self.steps > self.fuel:
             raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
@@ -287,7 +262,7 @@ def _eta_once(t: LTerm) -> LTerm | None:
         ):
             reduced = remove_strand_one(body.braid)
             if reduced is not None:
-                return _wrap(reduced, shift(body.body.fn, -1))
+                return canon_wrap(reduced, shift(body.body.fn, -1))
         r = _eta_once(t.body)
         return None if r is None else Lam(r)
     if isinstance(t, App):

@@ -30,7 +30,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .braids import BraidWord, cable, permute_contents
+from .braids import (
+    BraidWord,
+    braid_compose,
+    braid_is_trivial,
+    cable,
+    direct_sum,
+    permute_contents,
+    shift_strands,
+    trivial,
+)
 
 
 class Discipline(enum.Enum):
@@ -59,16 +68,30 @@ class DisciplineError(TermError):
 
 
 # -- term nodes ---------------------------------------------------------------
-# Hand-rolled immutable nodes: hashes and sizes are precomputed at construction
-# and wire lists cached, since normalization traverses terms heavily.
+# Hand-rolled immutable nodes.  Sizes and free-index bounds are computed at
+# construction; hashes and wire lists on first use, since most intermediate
+# reducts are never hashed.  Each class defines `__eq__`, so it restores
+# `LTerm.__hash__`, which Python would otherwise set to None.  Two more slots
+# serve the normalizer and the checker:
+#
+# * canon   -- the term is in canonical braid placement (see `canon_app`).
+#              Lam and App derive it from their children; a BraidNode is
+#              canonical only when its builder says so, since its rule needs
+#              the word problem.  Braid-free terms are always canonical, and
+#              `normalize.canon_braids` sets it on the terms it returns.
+# * checked -- bit mask of the disciplines whose node rules t and every node
+#              under it passed (`_check`); a pure function of the node.
 
 class LTerm:
-    # max_free: one more than the largest free de Bruijn index (0 if closed);
-    # has_braid / canon are traversal-pruning caches for the normalizer.
-    __slots__ = ("_hash", "size", "_wires", "max_free", "has_braid", "canon")
+    # max_free: one more than the largest free de Bruijn index (0 if closed).
+    __slots__ = ("_hash", "size", "_wires", "max_free", "canon", "checked")
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            # the node's class and the fields its own class declares
+            h = self._hash = hash((type(self), *[getattr(self, f) for f in self.__slots__]))
+        return h
 
     def __repr__(self) -> str:
         return f"<{pretty(self)}>"
@@ -81,15 +104,17 @@ class Var(LTerm):
         if index < 0:
             raise TermError("negative de Bruijn index")
         self.index = index
-        self._hash = hash(("v", index))
+        self._hash = None
         self.size = 1
         self._wires = (index,)
         self.max_free = index + 1
-        self.has_braid = False
         self.canon = True
+        self.checked = 0
 
     def __eq__(self, other):
         return type(other) is Var and other.index == self.index
+
+    __hash__ = LTerm.__hash__
 
 
 class Const(LTerm):
@@ -97,15 +122,17 @@ class Const(LTerm):
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = hash(("c", name))
+        self._hash = None
         self.size = 1
         self._wires = ()
         self.max_free = 0
-        self.has_braid = False
         self.canon = True
+        self.checked = 0
 
     def __eq__(self, other):
         return type(other) is Const and other.name == self.name
+
+    __hash__ = LTerm.__hash__
 
 
 class Lam(LTerm):
@@ -113,15 +140,18 @@ class Lam(LTerm):
 
     def __init__(self, body: LTerm):
         self.body = body
-        self._hash = hash(("l", body._hash))
+        self._hash = None
         self.size = 1 + body.size
         self._wires = None
-        self.max_free = max(body.max_free - 1, 0)
-        self.has_braid = body.has_braid
-        self.canon = False
+        m = body.max_free  # max(m - 1, 0), without the call: nodes are built often
+        self.max_free = m - 1 if m else 0
+        self.canon = body.canon
+        self.checked = 0
 
     def __eq__(self, other):
-        return type(other) is Lam and other._hash == self._hash and other.body == self.body
+        return type(other) is Lam and other.body == self.body
+
+    __hash__ = LTerm.__hash__
 
 
 class App(LTerm):
@@ -130,42 +160,39 @@ class App(LTerm):
     def __init__(self, fn: LTerm, arg: LTerm):
         self.fn = fn
         self.arg = arg
-        self._hash = hash(("a", fn._hash, arg._hash))
+        self._hash = None
         self.size = 1 + fn.size + arg.size
         self._wires = None
-        self.max_free = max(fn.max_free, arg.max_free)
-        self.has_braid = fn.has_braid or arg.has_braid
-        self.canon = False
+        a, b = fn.max_free, arg.max_free
+        self.max_free = a if a > b else b
+        self.canon = (
+            fn.canon and arg.canon and type(fn) is not BraidNode and type(arg) is not BraidNode
+        )
+        self.checked = 0
 
     def __eq__(self, other):
-        return (
-            type(other) is App
-            and other._hash == self._hash
-            and other.fn == self.fn
-            and other.arg == self.arg
-        )
+        return type(other) is App and other.fn == self.fn and other.arg == self.arg
+
+    __hash__ = LTerm.__hash__
 
 
 class BraidNode(LTerm):
     __slots__ = ("braid", "body")
 
-    def __init__(self, braid: BraidWord, body: LTerm):
+    def __init__(self, braid: BraidWord, body: LTerm, canon: bool = False):
         self.braid = braid
         self.body = body
-        self._hash = hash(("b", braid, body._hash))
+        self._hash = None
         self.size = 1 + body.size
         self._wires = None
         self.max_free = body.max_free
-        self.has_braid = True
-        self.canon = False
+        self.canon = canon
+        self.checked = 0
 
     def __eq__(self, other):
-        return (
-            type(other) is BraidNode
-            and other._hash == self._hash
-            and other.braid == self.braid
-            and other.body == self.body
-        )
+        return type(other) is BraidNode and other.braid == self.braid and other.body == self.body
+
+    __hash__ = LTerm.__hash__
 
 
 def app(*ts: LTerm) -> LTerm:
@@ -267,7 +294,52 @@ def bind_context(t: LTerm, ctx: Context) -> LTerm:
     return go(t, 0)
 
 
-# -- shifting and substitution ------------------------------------------------
+# -- canonical braid placement -------------------------------------------------
+# A term is canonical when no braid node sits in the function or argument
+# position of an application, wraps an abstraction or another braid node, or
+# carries a trivial word; braids then sit directly under the innermost binder
+# of a binder group, or at the root.  The two constructors below are the only
+# statement of the node rules: each builds the canonical form of one node
+# from canonical children.  `normalize.canon_braids` applies them bottom-up,
+# and `beta_step_at` at every node it rebuilds.
+
+def canon_app(fn: LTerm, arg: LTerm) -> LTerm:
+    """Canonical App(fn, arg): the children's braids are lifted above the
+    application, the argument's on the strands below the function's, and
+    composed argument first; the lifted word is dropped when trivial."""
+    wf = wa = None
+    if type(fn) is BraidNode:
+        wf, fn = fn.braid, fn.body
+    if type(arg) is BraidNode:
+        wa, arg = arg.braid, arg.body
+    node = App(fn, arg)
+    if wf is None and wa is None:
+        return node
+    nf = len(wires(fn))
+    na = len(wires(arg))
+    lifted_f = shift_strands(wf, na) if wf is not None else trivial(nf + na)
+    lifted_a = direct_sum([wa, trivial(nf)]) if wa is not None else trivial(nf + na)
+    word = braid_compose(lifted_a, lifted_f)
+    if braid_is_trivial(word):
+        return node
+    return BraidNode(word, node, canon=node.canon)
+
+
+def canon_wrap(word: BraidWord, body: LTerm) -> LTerm:
+    """Canonical BraidNode(word, body): fused with the braids below it
+    (inner word first), pushed under an abstraction (the bound wire becomes
+    strand 1), or dropped when trivial."""
+    while type(body) is BraidNode:
+        word = braid_compose(body.braid, word)
+        body = body.body
+    if type(body) is Lam:
+        return Lam(canon_wrap(shift_strands(word, 1), body.body))
+    if braid_is_trivial(word):
+        return body
+    return BraidNode(word, body, canon=body.canon)
+
+
+# -- shifting and contraction ---------------------------------------------------
 
 def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
     if by == 0 or t.max_free <= cutoff:
@@ -281,7 +353,7 @@ def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
     if isinstance(t, App):
         return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
     if isinstance(t, BraidNode):
-        return BraidNode(t.braid, shift(t.body, by, cutoff))
+        return BraidNode(t.braid, shift(t.body, by, cutoff), canon=t.canon)
     raise TermError(f"unknown node {t!r}")
 
 
@@ -292,6 +364,8 @@ def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
     the body's other free variables move down by one.  Under a braid node
     the strand carrying the bound variable is replaced by as many parallel
     strands as arg has wires (width 0 deletes it), by cabling the word.
+    Every node rebuilt goes through `canon_app` or `canon_wrap`, so when fn
+    and arg are canonical the reduct is canonical too.
     """
 
     def go(t: LTerm, depth: int) -> LTerm:
@@ -302,7 +376,7 @@ def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
         if isinstance(t, Lam):
             return Lam(go(t.body, depth + 1))
         if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
+            return canon_app(go(t.fn, depth), go(t.arg, depth))
         if isinstance(t, BraidNode):
             outer = wires(t)
             braid = t.braid
@@ -312,7 +386,7 @@ def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
                 widths = [1] * len(outer)
                 widths[len(outer) - 1 - outer.index(depth)] = len(wires(arg))
                 braid = cable(braid, widths)
-            return BraidNode(braid, go(t.body, depth))
+            return canon_wrap(braid, go(t.body, depth))
         raise TermError(f"unknown node {t!r}")
 
     return go(fn.body, 0)
@@ -333,24 +407,29 @@ def _fail(msg: str) -> CheckResult:
     return CheckResult(False, msg)
 
 
+_PASS = CheckResult(True)
+
+# The bit a discipline's pass sets in LTerm.checked.
+_CHECK_BIT = {d: 1 << k for k, d in enumerate(Discipline)}
+
+
 def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> CheckResult:
     """Well-formedness of t under discipline d in the given context."""
     t = bind_context(t, ctx)
     n = len(ctx)
 
-    braids_allowed = d is Discipline.BRAIDED
     try:
-        result = _check(t, d, braids_allowed)
+        why = _check(t, d, _CHECK_BIT[d])
     except TermError as e:
-        return _fail(str(e))
-    if not result.ok:
-        return result
+        why = str(e)
+    if why is not None:
+        return _fail(why)
 
     if d is Discipline.CARTESIAN:
         bad = [k for k in free_indices(t) if k >= n]
         if bad:
             return _fail(f"unbound index {max(bad)} for context of size {n}")
-        return CheckResult(True)
+        return _PASS
 
     ws = wires(t)
     if d is Discipline.LINEAR:
@@ -359,39 +438,42 @@ def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> Check
     else:  # planar / braided: wire order must equal context order
         if list(ws) != list(range(n - 1, -1, -1)):
             return _fail(f"wires {list(ws)} do not match context order")
-    return CheckResult(True)
+    return _PASS
 
 
-def _check(t: LTerm, d: Discipline, braids_allowed: bool) -> CheckResult:
-    if isinstance(t, (Var, Const)):
-        return CheckResult(True)
+def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:
+    """Why a node of t breaks the node rules of d (first in preorder), or
+    None; a pass is recorded in the `checked` bit of every node visited, and
+    a node already carrying the bit is not visited again."""
+    if t.checked & bit:
+        return None
     if isinstance(t, App):
-        r = _check(t.fn, d, braids_allowed)
-        if not r.ok:
-            return r
-        return _check(t.arg, d, braids_allowed)
-    if isinstance(t, BraidNode):
-        if not braids_allowed:
-            return _fail(f"braid node not allowed in {d.value} discipline")
+        why = _check(t.fn, d, bit) or _check(t.arg, d, bit)
+    elif isinstance(t, BraidNode):
+        if d is not Discipline.BRAIDED:
+            return f"braid node not allowed in {d.value} discipline"
         inner = wires(t.body)
         if t.braid.strands != len(inner):
-            return _fail(
-                f"braid on {t.braid.strands} strands over body with {len(inner)} wires"
-            )
-        return _check(t.body, d, braids_allowed)
-    if isinstance(t, Lam):
-        if d is Discipline.CARTESIAN:
-            return _check(t.body, d, braids_allowed)
-        ws = wires(t.body)
-        uses = ws.count(0)
-        if uses != 1:
-            return _fail(f"bound variable used {uses} times under its binder")
-        if d in (Discipline.PLANAR, Discipline.BRAIDED) and ws[-1] != 0:
-            if d is Discipline.PLANAR:
-                return _fail("bound variable is not the last use in its body")
-            return _fail("abstraction does not bind the last wire (missing braid?)")
-        return _check(t.body, d, braids_allowed)
-    raise TermError(f"unknown node {t!r}")
+            return f"braid on {t.braid.strands} strands over body with {len(inner)} wires"
+        why = _check(t.body, d, bit)
+    elif isinstance(t, Lam):
+        if d is not Discipline.CARTESIAN:
+            ws = wires(t.body)
+            uses = ws.count(0)
+            if uses != 1:
+                return f"bound variable used {uses} times under its binder"
+            if d in (Discipline.PLANAR, Discipline.BRAIDED) and ws[-1] != 0:
+                if d is Discipline.PLANAR:
+                    return "bound variable is not the last use in its body"
+                return "abstraction does not bind the last wire (missing braid?)"
+        why = _check(t.body, d, bit)
+    elif isinstance(t, (Var, Const)):
+        why = None
+    else:
+        raise TermError(f"unknown node {t!r}")
+    if why is None:
+        t.checked |= bit
+    return why
 
 
 def free_vars(t: LTerm, ctx: Context | None = None) -> list:

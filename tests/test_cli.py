@@ -50,6 +50,12 @@ class TestNorm:
         assert run(capsys, "norm", "-d", "braided", "Tr M")[0] == 3
         assert run(capsys, "eq", "-d", "linear", "Tr", "Tr")[0] == 3
 
+    def test_deep_nesting_exit_1(self, capsys):
+        deep = r"(\x. x) (" * 12_000 + "a" + ")" * 12_000
+        code, out, err = run(capsys, "norm", "-d", "planar", deep)
+        assert code == 1 and out == ""
+        assert err == "error: input nests too deeply\n"
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "norm", "-d", "planar", "--tree", r"\x. x")
         assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from operadforge import normalize as normalize_module
 from operadforge.braids import parse_braid
 from operadforge.normalize import (
     FuelExhausted,
@@ -48,6 +49,14 @@ class TestNormalize:
     def test_cartesian_divergence_reports_fuel(self):
         with pytest.raises(FuelExhausted):
             nf(r"(\x. x x) (\x. x x)", CA, fuel=100)
+
+    def test_shrink_check_counts_the_raw_reduct(self):
+        # x occurs twice, so this ill-disciplined redex of 19 nodes does not
+        # shrink; the canonical reduct has 17, because cabling x's strand
+        # out of both braids leaves them trivial and they are dropped
+        t = parse(r"(\x. g (\w. [{2; 1 1}] (x w)) (\v. [{2; 1 1}] (x v))) (\y. y c)")
+        with pytest.raises(AssertionError, match="exactly-once redex: 19 -> 19$"):
+            normalize(t, BR, check=False)
 
     def test_fuel_ignored_for_exactly_once(self):
         assert nf(f"{B_SRC} {I_SRC}", L, fuel=1) == parse(r"\x. x")
@@ -107,6 +116,25 @@ class TestEtaContract:
         out = normalize(t, BR)
         want = parse(r"\f x. [{2; 1}] (x f)")
         assert canonical_equal(braid_canonicalize(out), braid_canonicalize(want)) is Verdict.EQUAL
+
+    def test_beta_normal_forms_need_no_recanonicalization(self, monkeypatch):
+        # the one pass builds its output canonical and flagged, so the eta
+        # contraction that normalize ends in re-canonicalizes nothing
+        calls = []
+        canon, eta = normalize_module._canon, normalize_module.eta_contract
+
+        def eta_spy(t):
+            calls.append("eta")
+            return eta(t)
+
+        monkeypatch.setattr(normalize_module, "_canon", lambda t: calls.append(t) or canon(t))
+        monkeypatch.setattr(normalize_module, "eta_contract", eta_spy)
+        for src in (f"{CP_SRC} {B_SRC} {CM_SRC}", f"{CP_SRC} (f a) b", f"{B_SRC} {CP_SRC} (g {CM_SRC})"):
+            t = canon_braids(parse(src))
+            calls.clear()
+            n = normalize(t, BR)
+            assert calls == ["eta"] and n.canon
+            assert eta_contract(n) is n
 
     def test_blocked_under_entangled_braid(self):
         t = parse(r"\f x. [{2; 1 1}] (f x)")
@@ -203,6 +231,16 @@ class TestCanonicalForm:
         cf = braid_canonicalize(canon_braids(t))
         assert cf.braids == {}
         assert cf.skeleton == parse("x y")
+
+    def test_application_lifts_argument_braid_first(self):
+        # the argument's word rides the low strands and comes first
+        fn = canon_braids(BraidNode(parse_braid("{2; 1}"), App(Var(0), Var(1))))
+        arg = canon_braids(BraidNode(parse_braid("{2; -1}"), App(Var(2), Var(3))))
+        t = App(fn, arg)
+        assert fn.canon and arg.canon and not t.canon
+        out = canon_braids(t)
+        assert out == BraidNode(parse_braid("{4; -1 3}"), App(App(Var(0), Var(1)), App(Var(2), Var(3))))
+        assert out.canon and out.body.canon
 
     def test_one_word_per_scope(self):
         t = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from operadforge import comb, terms
 from operadforge.braids import parse_braid
 from operadforge.normalize import Verdict, braid_canonicalize, canonical_equal
 from operadforge.terms import (
@@ -156,6 +157,75 @@ class TestCheckDiscipline:
         assert not check_discipline(t, P, Context(("x", "f", "y")))
         assert check_discipline(parse("x"), CA, Context(("x", "y")))
         assert not check_discipline(parse("x"), L, Context(("x", "y")))
+
+
+class TestCheckCache:
+    """A node that passed a discipline's node rules is not checked again."""
+
+    @staticmethod
+    def _visits(monkeypatch, d):
+        """Nodes that `_check` examines, i.e. enters without d's pass bit."""
+        seen = []
+        check = terms._check
+        bit = terms._CHECK_BIT[d]
+
+        def spy(t, d_, bit_):
+            if not t.checked & bit:
+                seen.append(t)
+            return check(t, d_, bit_)
+
+        monkeypatch.setattr(terms, "_check", spy)
+        return seen
+
+    def test_shared_primitive_images_checked_once(self, monkeypatch):
+        first = comb.parse_cterm("B (C+ I) (C- B)")
+        assert check_discipline(comb.to_lambda(first, BR), BR)
+        # the same primitives in another expression: only its three
+        # application nodes are new
+        t = comb.to_lambda(comb.parse_cterm("C- B (I C+)"), BR)
+        spine = [t, t.fn, t.arg]
+        seen = self._visits(monkeypatch, BR)
+        assert check_discipline(t, BR)
+        assert len(seen) == 3 and all(any(u is v for v in spine) for u in seen)
+        seen.clear()
+        assert check_discipline(t, BR)
+        assert seen == []
+
+    def test_pass_is_per_discipline(self):
+        braided = parse(r"\f x y. [{3; 1}] (f y x)")
+        assert check_discipline(braided, BR)
+        for d in (P, L):
+            r = check_discipline(braided, d)
+            assert not r.ok and r.message == f"braid node not allowed in {d.value} discipline"
+        flip = parse(r"\x y. y x")
+        assert check_discipline(flip, L)
+        r = check_discipline(flip, P)
+        assert not r.ok and r.message == "bound variable is not the last use in its body"
+
+    def test_failure_leaves_no_bit(self):
+        good = parse(r"\x. x")
+        bad = parse(r"\x. x x")
+        t = App(good, bad)
+        bit = terms._CHECK_BIT[L]
+        for _ in range(2):
+            r = check_discipline(t, L)
+            assert not r.ok and r.message == "bound variable used 2 times under its binder"
+            assert not t.checked & bit and not bad.checked & bit
+        assert good.checked & bit
+
+
+class TestHashing:
+    def test_equal_terms_hash_equal(self):
+        src = r"\f x y. [{3; 1}] (f y (x c))"
+        a, b = parse(src), parse(src)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(Var(0)) == hash(Var(0)) and hash(Const("c")) == hash(Const("c"))
+        built = Lam(App(Var(0), Const("a")))
+        assert {parse(r"\x. x"), parse(r"\y. y"), built, parse(r"\x. x a")} == {
+            Lam(Var(0)),
+            built,
+        }
+        assert len({a, b, a.body, b.body}) == 2
 
 
 class TestSubst:
