@@ -65,10 +65,6 @@ class Permutation:
             raise DimensionError("permutation size mismatch")
         return Permutation(self.size, tuple(other(self(k)) for k in range(1, self.size + 1)))
 
-    def block_sum(self, other: "Permutation") -> "Permutation":
-        shifted = tuple(v + self.size for v in other.image)
-        return Permutation(self.size + other.size, self.image + shifted)
-
 
 @dataclass(frozen=True)
 class BraidWord:

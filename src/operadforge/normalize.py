@@ -5,9 +5,12 @@ head is a variable, a constant or an abstraction with nothing applied, then
 normalize the arguments left to right, and the bodies of abstractions.  The
 redexes contracted, and their order, are those of leftmost-outermost
 stepping.  For the exactly-once disciplines every contraction strictly
-shrinks the term, so normalization needs no fuel; the cartesian discipline
-counts its steps against a fuel bound and its size against a cap, and
-reports exhaustion.
+shrinks the term, so normalization needs no fuel, and a head abstraction's
+binder group is contracted with every argument it can take in one traversal
+of its body (`terms.beta_step_at`), which leaves the term as contracting
+its binders one at a time would.  The cartesian discipline contracts one
+binder at a time, counts its steps against a fuel bound and its size
+against a cap, and reports exhaustion.
 
 Braided terms keep their braid nodes in canonical slots: directly under the
 innermost binder of each binder group, or at the root.  Reducts are built
@@ -133,13 +136,17 @@ class _Slot:
         self.word = word
         self.body = body
 
-    def shed(self, w: BraidWord, right: tuple | None) -> None:
-        """Lift w, the braid of a reduct, into the slot word, in front of it.
+    def shed(self, r: LTerm, right: tuple | None) -> LTerm:
+        """Lift the braid of the reduct r, if it has one, into the slot
+        word, in front of it; returns r without it.
 
         `right` is the chain (terms, start, outer) of the terms to the
         reduct's right in the slot's body: terms[start:], then outer's.
         Their wires ride the strands below the reduct's.
         """
+        if type(r) is not BraidNode:
+            return r
+        w = r.braid
         k = 0
         while right is not None:
             seq, start, right = right
@@ -152,19 +159,24 @@ class _Slot:
         else:
             word = braid_compose(lifted, self.word)
             self.word = None if braid_is_trivial(word) else word
+        return r.body
 
 
 class _NormalOrder:
     """One normal-order pass: contract head redexes, then normalize the
     arguments left to right.
 
-    This contracts the leftmost-outermost redex each time, as stepping from
-    the root would, without rescanning the normal prefix.  In the
-    exactly-once disciplines each reduct comes out of `beta_step_at`
-    canonical and the braid it sheds is lifted into its slot (`_Slot.shed`),
-    which leaves the term exactly as canonicalizing it whole after the step
-    would.  With `fuel` set (cartesian) the steps are counted and the whole
-    term's size is kept up to date against SIZE_CAP.
+    This contracts the leftmost-outermost redexes, in the order stepping
+    from the root would, without rescanning the normal prefix.  In the
+    exactly-once disciplines the head's binder group takes all the stacked
+    arguments it can in one `beta_step_at`, whose reduct is that of the
+    single contractions; it comes out canonical and the braid it sheds is
+    lifted into its slot (`_Slot.shed`), which leaves the term exactly as
+    canonicalizing it whole after each step would.  The occurrence counts
+    `beta_step_at` returns give each contraction's shrink check.
+    With `fuel` set (cartesian) each step contracts one binder, the steps
+    are counted and the whole term's size is kept up to date against
+    SIZE_CAP.
     """
 
     def __init__(self, fuel: int | None, size: int):
@@ -212,8 +224,7 @@ class _NormalOrder:
                 t = t.fn
             if not (stack and isinstance(t, Lam)):
                 return t, stack
-            arg = stack.pop()
-            t = self._contract(t, arg, slot, (stack, 0, right))
+            t = self._contract(t, stack, slot, (stack, 0, right))
 
     def _args(self, head: LTerm, stack: list, slot: _Slot, right: tuple | None) -> LTerm:
         args = stack[::-1]
@@ -221,22 +232,40 @@ class _NormalOrder:
             args[j] = self._nf(a, slot, (args, j + 1, right))
         return app(head, *args)
 
-    def _contract(self, fn: Lam, arg: LTerm, slot: _Slot, right: tuple) -> LTerm:
-        r = beta_step_at(fn, arg)
+    def _contract(self, fn: Lam, stack: list, slot: _Slot, right: tuple) -> LTerm:
+        """Contract fn's leading binders with the arguments on top of the
+        stack, and pop those arguments.  Exactly-once: every binder of fn's
+        group that has an argument, in one `beta_step_at`.  Counting fuel:
+        one binder, since fuel and SIZE_CAP are charged per step."""
+        if self.fuel is None:
+            g, body = 1, fn.body
+            while g < len(stack) and type(body) is Lam:
+                g, body = g + 1, body.body
+            if g > 1:
+                try:
+                    r, uses = beta_step_at(fn, stack[: -g - 1 : -1])
+                except DisciplineError:
+                    uses = ()
+                # each binder used once: each of the g contractions shrinks
+                # the term by three nodes, so the shrink check below holds
+                if uses.count(1) == g:
+                    del stack[-g:]
+                    return slot.shed(r, right)
+                # an ill-disciplined group: its first binder alone, so the
+                # error raised is the one a single contraction raises
+        arg = stack.pop()
+        r, (uses,) = beta_step_at(fn, (arg,))
         redex = fn.size + arg.size + 1
-        self.steps += 1
         if self.fuel is None:
             # the size of the reduct before canonicalization, which puts
             # arg in place of each occurrence of the bound variable
-            raw = fn.body.size + wires(fn.body).count(0) * (arg.size - 1)
+            raw = fn.body.size + uses * (arg.size - 1)
             if raw >= redex:
                 raise AssertionError(
                     f"beta step failed to shrink an exactly-once redex: {redex} -> {raw}"
                 )
-            if type(r) is BraidNode:
-                slot.shed(r.braid, right)
-                r = r.body
-            return r
+            return slot.shed(r, right)
+        self.steps += 1
         if self.steps > self.fuel:
             raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
         self.size += r.size - redex
@@ -329,19 +358,6 @@ class CanonicalForm:
 
     skeleton: LTerm
     braids: dict[str, BraidWord] = field(default_factory=dict)
-
-    def rebuild(self) -> LTerm:
-        def go(u: LTerm, path: str) -> LTerm:
-            here = self.braids.get(path)
-            if isinstance(u, Lam):
-                out: LTerm = Lam(go(u.body, path + "L"))
-            elif isinstance(u, App):
-                out = App(go(u.fn, path + "F"), go(u.arg, path + "A"))
-            else:
-                out = u
-            return BraidNode(here, out) if here is not None else out
-
-        return go(self.skeleton, "")
 
 
 def braid_canonicalize(t: LTerm) -> CanonicalForm:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .braids import (
     BraidWord,
@@ -357,22 +357,38 @@ def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
     raise TermError(f"unknown node {t!r}")
 
 
-def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
-    """Contract the redex (\\x.body) arg in one traversal of the body.
+def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
+    """Contract (\\x1 … xg. M) a1 … ag, the first g binders of fn applied to
+    args, in one traversal of M; returns the reduct and how often each
+    binder occurs in M.
 
-    The bound variable becomes arg, lifted past the binders above it, and
-    the body's other free variables move down by one.  Under a braid node
-    the strand carrying the bound variable is replaced by as many parallel
-    strands as arg has wires (width 0 deletes it), by cabling the word.
-    Every node rebuilt goes through `canon_app` or `canon_wrap`, so when fn
-    and arg are canonical the reduct is canonical too.
+    Each xi becomes ai, shifted once to its depth in M, and M's other free
+    variables move down by g.  Under a braid node the strand carrying xi is
+    replaced by as many parallel strands as ai has wires (width 0 deletes
+    it) by cabling the word, once per binder the node carries, outermost
+    first; a word that a cabling leaves trivial is dropped there, so later
+    binders neither cable nor check it.  Every node rebuilt goes through
+    `canon_app` or `canon_wrap`, so when fn and the args are canonical the
+    reduct is canonical too.  It is the reduct of g single contractions, one
+    binder each, when no argument is a braid node (no argument of a
+    canonical application is): then no braid is lifted out of an argument,
+    and cabling the other binders' strands only renumbers a letter.
     """
+    g = len(args)
+    body = fn
+    for _ in range(g):
+        body = body.body
+    uses = [0] * g
 
     def go(t: LTerm, depth: int) -> LTerm:
         if t.max_free <= depth:
             return t
         if isinstance(t, Var):
-            return shift(arg, depth) if t.index == depth else Var(t.index - 1)
+            j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
+            if j < 0:
+                return Var(t.index - g)
+            uses[j] += 1
+            return shift(args[j], depth)
         if isinstance(t, Lam):
             return Lam(go(t.body, depth + 1))
         if isinstance(t, App):
@@ -380,16 +396,26 @@ def beta_step_at(fn: Lam, arg: LTerm) -> LTerm:
         if isinstance(t, BraidNode):
             outer = wires(t)
             braid = t.braid
-            if depth in outer:
-                if outer.count(depth) != 1:
+            blocks = None  # once cabled: the width of each outer wire's block
+            for j in range(g):
+                v = depth + g - 1 - j
+                if v not in outer:
+                    continue
+                if blocks is None:
+                    blocks = [1] * len(outer)
+                elif braid_is_trivial(braid):
+                    return go(t.body, depth)  # the last cabling left it trivial
+                if outer.count(v) != 1:
                     raise DisciplineError("duplicated wire under a braid node")
-                widths = [1] * len(outer)
-                widths[len(outer) - 1 - outer.index(depth)] = len(wires(arg))
+                p = outer.index(v)
+                blocks[p] = len(wires(args[j]))
+                widths = [1] * braid.strands
+                widths[sum(blocks[p + 1 :])] = blocks[p]
                 braid = cable(braid, widths)
             return canon_wrap(braid, go(t.body, depth))
         raise TermError(f"unknown node {t!r}")
 
-    return go(fn.body, 0)
+    return go(body, 0), uses
 
 
 # -- discipline checking ------------------------------------------------------
@@ -474,19 +500,6 @@ def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:
     if why is None:
         t.checked |= bit
     return why
-
-
-def free_vars(t: LTerm, ctx: Context | None = None) -> list:
-    """Wire order of t's free variables.
-
-    With a context: constants named in ctx count as context variables and the
-    result lists their names.  Without: the de Bruijn indices of free Vars.
-    """
-    if ctx is not None:
-        bound = bind_context(t, ctx)
-        n = len(ctx)
-        return [ctx.names[n - 1 - k] for k in wires(bound)]
-    return list(wires(t))
 
 
 # -- concrete syntax ----------------------------------------------------------

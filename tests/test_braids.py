@@ -241,8 +241,13 @@ class TestDirectSum:
     @given(braid_words(max_strands=3, max_len=4), braid_words(max_strands=3, max_len=4))
     def test_permutation_block_sum(self, u, v):
         got = underlying_permutation(direct_sum([u, v]))
-        want = underlying_permutation(u).block_sum(underlying_permutation(v))
+        want = block_sum(underlying_permutation(u), underlying_permutation(v))
         assert got.image == want.image
+
+
+def block_sum(p: Permutation, q: Permutation) -> Permutation:
+    """p and q side by side, q on the points above p's."""
+    return Permutation(p.size + q.size, p.image + tuple(v + p.size for v in q.image))
 
 
 class TestStrandRemoval:

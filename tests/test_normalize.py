@@ -58,6 +58,20 @@ class TestNormalize:
         with pytest.raises(AssertionError, match="exactly-once redex: 19 -> 19$"):
             normalize(t, BR, check=False)
 
+    def test_shrink_check_runs_per_contraction_of_a_group(self):
+        # y occurs twice: the group's second contraction, of 11 nodes after
+        # the first, does not shrink
+        t = parse(r"(\x y. g y y) a (\z. z c)")
+        with pytest.raises(AssertionError, match="exactly-once redex: 11 -> 11$"):
+            normalize(t, L, check=False)
+
+    def test_group_raises_what_the_first_failing_contraction_raises(self):
+        # x's contraction fails the shrink check, so y's duplicated wire
+        # under the braid node is never reached
+        t = parse(r"(\x y. g x x (\w. [{3; 1}] (y y w))) (\z. z c) b")
+        with pytest.raises(AssertionError, match="exactly-once redex: 20 -> 20$"):
+            normalize(t, BR, check=False)
+
     def test_fuel_ignored_for_exactly_once(self):
         assert nf(f"{B_SRC} {I_SRC}", L, fuel=1) == parse(r"\x. x")
 
@@ -251,7 +265,7 @@ class TestCanonicalForm:
     def test_rebuild_round_trip(self):
         t = normalize(parse(r"\f x y. [{3; 1 1 1}] (f (y x))"), BR)
         cf = braid_canonicalize(t)
-        assert cf.rebuild() == t
+        assert rebuild(cf) == t
         assert cf.braids and not canonical_equal(
             cf, braid_canonicalize(normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR))
         ) is Verdict.EQUAL
@@ -260,6 +274,23 @@ class TestCanonicalForm:
         t1 = braid_canonicalize(normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR))
         t2 = braid_canonicalize(normalize(parse(r"\f x y. [{3; 1 2 -2}] (f (y x))"), BR))
         assert canonical_equal(t1, t2) is Verdict.EQUAL
+
+
+def rebuild(cf):
+    """The term a canonical form reads off: each slot word wraps the node at
+    its path."""
+
+    def go(u, path):
+        if isinstance(u, Lam):
+            out = Lam(go(u.body, path + "L"))
+        elif isinstance(u, App):
+            out = App(go(u.fn, path + "F"), go(u.arg, path + "A"))
+        else:
+            out = u
+        here = cf.braids.get(path)
+        return BraidNode(here, out) if here is not None else out
+
+    return go(cf.skeleton, "")
 
 
 class TestFuelVerdict:

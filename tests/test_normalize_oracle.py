@@ -1,7 +1,9 @@
 """The one-pass normalizer against the stepping oracle in normalize_oracle.py.
 
 Both must contract the same redexes: same normal form (`==` and printed),
-same exception type and message, and the same number of contractions.
+same exception type and message, and the same number of contractions.  The
+oracle contracts one binder per `beta_step_at` call; the normalizer's
+`beta_step_at` contracts a binder per argument it is given.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from operadforge.terms import (
     Lam,
     Var,
     beta_step_at,
+    lams,
     parse,
     pretty,
     wires,
@@ -44,14 +47,15 @@ def _outcome(call):
 
 
 def _run(module, call):
-    """(outcome, contractions) of call(), counting module.beta_step_at."""
+    """(outcome, contractions) of call(), counting the binders that
+    module.beta_step_at contracts."""
     count = 0
     contract = module.beta_step_at
 
-    def counting(fn, arg):
+    def counting(fn, args):
         nonlocal count
-        count += 1
-        return contract(fn, arg)
+        count += 1 if module is oracle else len(args)
+        return contract(fn, args)
 
     module.beta_step_at = counting
     try:
@@ -267,8 +271,8 @@ def test_beta_step_at_matches_substitution(body, arg_name, duplicate):
         body = BraidNode(BraidWord(n + 1, (1,)), App(body, Var(0)))
     # canonical inputs give the canonical form of the substitution's reduct
     fn, arg = canon_braids(Lam(body)), canon_braids(ARGS[arg_name])
-    assert _outcome(lambda: beta_step_at(fn, arg)) == _outcome(
-        lambda: canon_braids(oracle.beta_step_at(fn, arg))
+    assert _outcome(lambda: beta_step_at(fn, [arg])) == _outcome(
+        lambda: (canon_braids(oracle.beta_step_at(fn, arg)), [wires(body).count(0)])
     )
 
 
@@ -276,14 +280,68 @@ def test_beta_step_at_cabling_widths():
     # f rides strand 3 of the braid; arguments of width 0, 1 and 2 replace it
     fn = canon_braids(parse(r"\f x y. [{3; 1}] (f y x)"))
     for arg, strands in ((Const("m"), 2), (Var(7), 3), (App(Var(7), Var(8)), 4)):
-        got = beta_step_at(fn, arg)
-        assert got == canon_braids(oracle.beta_step_at(fn, arg))
+        got, uses = beta_step_at(fn, [arg])
+        assert got == canon_braids(oracle.beta_step_at(fn, arg)) and uses == [1]
         assert got.body.body.braid.strands == strands
 
 
 def test_beta_step_at_duplicated_wire():
     fn = Lam(BraidNode(BraidWord(2, (1,)), App(Var(0), Var(0))))
     with pytest.raises(DisciplineError, match="duplicated wire under a braid node"):
-        beta_step_at(fn, Const("a"))
+        beta_step_at(fn, [Const("a")])
     with pytest.raises(DisciplineError, match="duplicated wire under a braid node"):
         oracle.beta_step_at(fn, Const("a"))
+
+
+# -- one binder group ------------------------------------------------------------
+
+
+def _one_by_one(fn, args):
+    """The oracle's single contractions of fn's binders, outermost first,
+    each reduct canonicalized as the normalizer's are."""
+    for a in args:
+        fn = canon_braids(oracle.beta_step_at(fn, a))
+    return fn
+
+
+@st.composite
+def groups(draw):
+    """(g, M, argument names): a body M under a group of g binders, whose
+    wires are the binders and up to two outer variables, with braid nodes
+    over random groups of wires; sometimes one binder rides a braid node
+    twice."""
+    g = draw(st.integers(2, 3))
+    n = draw(st.integers(g, g + 2))
+    body = draw(spines(draw(st.permutations(list(range(n))))))
+    dup = draw(st.none() | st.integers(0, g - 1))
+    if dup is not None:
+        body = BraidNode(BraidWord(n + 1, (1,)), App(body, Var(dup)))
+    names = draw(st.lists(st.sampled_from(sorted(ARGS)), min_size=g, max_size=g))
+    return g, body, names
+
+
+@settings(max_examples=250, deadline=None)
+@given(groups())
+def test_group_contraction_matches_single_contractions(case):
+    # width-0 arguments delete strands, so a word can turn trivial part-way
+    # through the group; single contractions then drop it before the next
+    # binder's cabling, and never check that binder's wires in it
+    g, body, names = case
+    fn, args = canon_braids(lams(g, body)), [canon_braids(ARGS[k]) for k in names]
+    uses = [wires(body).count(g - 1 - j) for j in range(g)]
+    assert _outcome(lambda: beta_step_at(fn, args)) == _outcome(
+        lambda: (_one_by_one(fn, args), uses)
+    )
+
+
+def test_group_drops_a_word_trivial_part_way():
+    # x and y cross in {3; 2}; deleting x's strand leaves the word trivial,
+    # so y, used twice under the node, is never cabled and nothing raises
+    fn = canon_braids(parse(r"\x y. [{3; 2}] (x y y)"))
+    for args in ([Const("a"), Var(5)], [Var(4), Var(5)], [App(Var(4), Var(6)), Const("b")]):
+        got = _outcome(lambda: beta_step_at(fn, args))
+        assert got == _outcome(lambda: (_one_by_one(fn, args), [1, 2]))
+    reduct = App(App(Const("a"), Var(5)), Var(5))
+    assert beta_step_at(fn, [Const("a"), Var(5)]) == (reduct, [1, 2])
+    with pytest.raises(DisciplineError, match="^duplicated wire under a braid node$"):
+        beta_step_at(fn, [Var(4), Var(5)])

@@ -18,7 +18,6 @@ from operadforge.terms import (
     beta_step_at,
     bind_context,
     check_discipline,
-    free_vars,
     parse,
     pretty,
     wires,
@@ -109,6 +108,18 @@ class TestWires:
 
     def test_free_vars_indices(self):
         assert free_vars(Var(0)) == [0]
+
+
+def free_vars(t, ctx=None) -> list:
+    """Wire order of t's free variables.
+
+    With a context: constants named in ctx count as context variables and the
+    result lists their names.  Without: the de Bruijn indices of free Vars.
+    """
+    if ctx is not None:
+        n = len(ctx)
+        return [ctx.names[n - 1 - k] for k in wires(bind_context(t, ctx))]
+    return list(wires(t))
 
 
 class TestCheckDiscipline:
@@ -234,7 +245,7 @@ class TestSubst:
 
     def test_beta_redex(self):
         redex_fn = Lam(App(Var(0), Const("a")))
-        assert beta_step_at(redex_fn, Const("b")) == App(Const("b"), Const("a"))
+        assert beta_step_at(redex_fn, [Const("b")]) == (App(Const("b"), Const("a")), [1])
 
     def test_braided_cabling(self):
         t = parse(r"\p q r. [{3; -2 1}] (r p q)")
@@ -258,7 +269,7 @@ class TestSubst:
             if not isinstance(outer, Lam):
                 continue
             arg = _gen_closed_planar(rng, 15)
-            reduced = beta_step_at(outer, arg)
+            reduced, _ = beta_step_at(outer, [arg])
             assert reduced.size == outer.body.size + arg.size - 1
 
     def test_preserves_discipline(self, rng):
@@ -269,7 +280,7 @@ class TestSubst:
             if not isinstance(fn, Lam):
                 continue
             arg = _gen_closed_planar(rng, 12)
-            assert check_discipline(beta_step_at(fn, arg), P)
+            assert check_discipline(beta_step_at(fn, [arg])[0], P)
 
 
 def canonically_equal(t1, t2) -> bool:
