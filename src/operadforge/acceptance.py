@@ -255,7 +255,7 @@ def _head_form_arity_m1(nf, m: int) -> bool:
     if not isinstance(head, Var) or head.index != r - 1:
         return False
     for a in args:
-        if (r - 1) in terms.free_indices(a):
+        if (r - 1) in terms.wires(a):
             return False
     if len(args) == 1:
         return m == r - 1

@@ -171,16 +171,6 @@ def b_power_apply(k: int, t: CTerm) -> CTerm:
     return t
 
 
-def contains_trace(t: CTerm) -> bool:
-    if isinstance(t, Prim):
-        return t.name == "Tr"
-    if isinstance(t, CApp):
-        return contains_trace(t.fn) or contains_trace(t.arg)
-    if isinstance(t, Bullet):
-        return contains_trace(t.arg)
-    return False
-
-
 def prims_used(t: CTerm) -> set[str]:
     if isinstance(t, Prim):
         return {t.name}
@@ -191,8 +181,9 @@ def prims_used(t: CTerm) -> set[str]:
     return set()
 
 
-def check_signature(t: CTerm, sig: Signature) -> None:
-    bad = prims_used(t) - sig.primitives
+def check_signature(used: set[str], sig: Signature) -> None:
+    """Raise CombError naming the primitives in `used` that sig lacks."""
+    bad = used - sig.primitives
     if bad:
         raise CombError(f"primitives {sorted(bad)} not in signature {sig.tag}")
 
@@ -382,10 +373,11 @@ def comb_equal(
 ) -> Verdict:
     """Equality in the free extensional algebra of the signature, decided by
     beta/eta equality of the lambda images."""
-    if contains_trace(c1) or contains_trace(c2):
+    used = (prims_used(c1), prims_used(c2))
+    if any("Tr" in u for u in used):
         raise UnsupportedTrace("equality involving Tr is not supported")
-    check_signature(c1, sig)
-    check_signature(c2, sig)
+    for u in used:
+        check_signature(u, sig)
     d = sig.discipline
     return lam_equal(to_lambda(c1, d), to_lambda(c2, d), d, fuel=fuel)
 
@@ -557,7 +549,7 @@ def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
         p = _abstract_last(p, sig, m)
         m -= 1
     out = poly_value(p)
-    check_signature(out, sig)
+    check_signature(prims_used(out), sig)
     return out
 
 

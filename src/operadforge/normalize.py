@@ -18,11 +18,18 @@ canonical: `terms.beta_step_at` applies the node rules (`terms.canon_app`,
 `terms.canon_wrap`) at every node it rebuilds, and the braid a reduct sheds
 joins its slot's word, as canonicalizing the whole term after the step
 would.  The nodes the pass builds carry the `canon` flag, so its output is
-not canonicalized again.  Eta contraction follows, and a normal form is read
-off as a skeleton plus one braid word per slot.  Equality then compares
-skeletons structurally and slot words by the braid-group word problem.  An
-eta step under a braid fires only when the bound wire's strand is provably
-unentangled (its reduced word avoids the first strand).
+not canonicalized again.
+
+Eta contraction happens in the same pass, bottom-up: each abstraction the
+pass rebuilds goes through the one-node rule `eta_contract`, innermost
+binder first.  In a beta-normal term an eta contraction creates no beta
+redex, and the only eta redex it can expose is at its parent, which the
+pass rebuilds next; so the output is eta-normal.  An eta step under a braid
+fires only when the bound wire's strand is provably unentangled (its
+reduced word avoids the first strand), and the braid it leaves in argument
+position joins its slot's word like a reduct's.  A normal form is read off
+as a skeleton plus one braid word per slot.  Equality then compares
+skeletons structurally and slot words by the braid-group word problem.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .braids import (
 from .terms import (
     App,
     BraidNode,
-    Const,
     Context,
     Discipline,
     DisciplineError,
@@ -164,7 +170,8 @@ class _Slot:
 
 class _NormalOrder:
     """One normal-order pass: contract head redexes, then normalize the
-    arguments left to right.
+    arguments left to right, and eta-contract each abstraction as it is
+    rebuilt.
 
     This contracts the leftmost-outermost redexes, in the order stepping
     from the root would, without rescanning the normal prefix.  In the
@@ -176,7 +183,8 @@ class _NormalOrder:
     `beta_step_at` returns give each contraction's shrink check.
     With `fuel` set (cartesian) each step contracts one binder, the steps
     are counted and the whole term's size is kept up to date against
-    SIZE_CAP.
+    SIZE_CAP.  Eta contractions are not counted against it: they shrink
+    only finished parts of the term, which no later redex contains.
     """
 
     def __init__(self, fuel: int | None, size: int):
@@ -185,7 +193,9 @@ class _NormalOrder:
         self.steps = 0
 
     def scope(self, t: LTerm) -> LTerm:
-        """Normal form of t, the content of a slot (the root or a λ body)."""
+        """Normal form of t, the content of a slot (the root or a λ body);
+        the binders of t's leading abstractions are eta-contracted
+        innermost first, each after the body under it is final."""
         binders = 0
         while True:
             word = None
@@ -204,14 +214,16 @@ class _NormalOrder:
         if slot.word is not None:
             body = BraidNode(slot.word, body, canon=body.canon)
         for _ in range(binders):
-            body = Lam(body)
+            body = eta_contract(Lam(body))
         return body
 
     def _nf(self, t: LTerm, slot: _Slot, right: tuple | None) -> LTerm:
-        """Normal form of t, an argument inside slot's body."""
+        """Normal form of t, an argument inside slot's body.  An
+        abstraction is eta-contracted once its body is final; a braid the
+        contraction leaves lifts into the slot, as a reduct's does."""
         head, stack = self._head(t, slot, right)
         if not stack and isinstance(head, Lam):
-            return Lam(self.scope(head.body))
+            return slot.shed(eta_contract(Lam(self.scope(head.body))), right)
         return self._args(head, stack, slot, right)
 
     def _head(self, t: LTerm, slot: _Slot, right: tuple | None) -> tuple[LTerm, list]:
@@ -276,47 +288,25 @@ class _NormalOrder:
 
 # -- eta contraction -------------------------------------------------------------
 
-def _eta_once(t: LTerm) -> LTerm | None:
-    if isinstance(t, (Var, Const)):
-        return None
-    if isinstance(t, Lam):
-        body = t.body
-        if isinstance(body, App) and body.arg == Var(0) and 0 not in wires(body.fn):
-            return shift(body.fn, -1)
-        if (
-            isinstance(body, BraidNode)
-            and isinstance(body.body, App)
-            and body.body.arg == Var(0)
-            and 0 not in wires(body.body.fn)
-        ):
-            reduced = remove_strand_one(body.braid)
-            if reduced is not None:
-                return canon_wrap(reduced, shift(body.body.fn, -1))
-        r = _eta_once(t.body)
-        return None if r is None else Lam(r)
-    if isinstance(t, App):
-        r = _eta_once(t.fn)
-        if r is not None:
-            return App(r, t.arg)
-        r = _eta_once(t.arg)
-        return None if r is None else App(t.fn, r)
-    if isinstance(t, BraidNode):
-        r = _eta_once(t.body)
-        return None if r is None else BraidNode(t.braid, r)
-    raise TermError(f"unknown node {t!r}")
+def eta_contract(t: Lam) -> LTerm:
+    """The eta rule at one abstraction of a beta-normal canonical term:
+    \\x. M x -> M when x is not free in M, and t itself otherwise.
 
-
-def eta_contract(t: LTerm) -> LTerm:
-    """Apply \\x.M x -> M (x not free in M) to a fixed point.
-
-    Under a braid the step fires only when the bound wire's strand can be
-    removed from the word; the remaining braid stays in place.
+    Under a braid the rule fires only when the bound wire's strand can be
+    removed from the word; what is left of the braid stays over M.
     """
-    while True:
-        r = _eta_once(t)
-        if r is None:
-            return canon_braids(t)
-        t = canon_braids(r)
+    body = t.body
+    word = None
+    if type(body) is BraidNode:
+        word, body = body.braid, body.body
+    if type(body) is not App or body.arg != Var(0) or 0 in wires(body.fn):
+        return t
+    if word is None:
+        return shift(body.fn, -1)
+    reduced = remove_strand_one(word)
+    if reduced is None:
+        return t
+    return canon_wrap(reduced, shift(body.fn, -1))
 
 
 # -- normalization ---------------------------------------------------------------
@@ -339,10 +329,8 @@ def normalize(
             raise DisciplineError(r.message)
     t = bind_context(t, ctx)
     if d.exactly_once:
-        t = _NormalOrder(None, 0).scope(canon_braids(t))
-    else:
-        t = _NormalOrder(fuel, t.size).scope(t)
-    return eta_contract(t)
+        return _NormalOrder(None, 0).scope(canon_braids(t))
+    return _NormalOrder(fuel, t.size).scope(t)
 
 
 # -- canonical forms for braided terms ---------------------------------------------

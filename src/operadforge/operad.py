@@ -38,10 +38,10 @@ from .comb import (
     comb_equal,
     comb_normal_form,
     compose,
-    contains_trace,
     format_cterm,
     from_lambda_applicative,
     parse_cterm,
+    prims_used,
     sample_closed,
     subst_consts,
 )
@@ -90,7 +90,7 @@ def has_arity(
     a: CTerm, m: int, n: int, sig: Signature, fuel: int = DEFAULT_FUEL
 ) -> Verdict:
     """Decide whether a is of arity m -> n in the signature's term model."""
-    if contains_trace(a):
+    if "Tr" in prims_used(a):
         raise UnsupportedTrace("arity checking does not cover Tr")
     lhs, rhs = arity_lhs_rhs(a, m, n)
     return comb_equal(lhs, rhs, sig, fuel=fuel)

@@ -236,20 +236,6 @@ def wires(t: LTerm) -> tuple[int, ...]:
     return ws
 
 
-def free_indices(t: LTerm) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, Lam):
-        return {k - 1 for k in free_indices(t.body) if k > 0}
-    if isinstance(t, App):
-        return free_indices(t.fn) | free_indices(t.arg)
-    if isinstance(t, BraidNode):
-        return free_indices(t.body)
-    raise TermError(f"unknown node {t!r}")
-
-
 # -- contexts -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -452,9 +438,8 @@ def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> Check
         return _fail(why)
 
     if d is Discipline.CARTESIAN:
-        bad = [k for k in free_indices(t) if k >= n]
-        if bad:
-            return _fail(f"unbound index {max(bad)} for context of size {n}")
+        if t.max_free > n:
+            return _fail(f"unbound index {t.max_free - 1} for context of size {n}")
         return _PASS
 
     ws = wires(t)

@@ -1,0 +1,103 @@
+"""Digest of what `normalize` returns on a fixed corpus of its real inputs.
+
+A differential check for changes that must leave every normal form as it
+was: run it before and after the change, and compare the two lines it
+prints.  The corpus is every distinct input that `normalize` receives from
+
+* the first 300 operations of the `equivariance` benchmark workload, seeds
+  0, 1 and 2 (`bench/workloads.py`);
+* the four signatures' axiom suites at 6 samples, seed 0;
+* the acceptance battery, `run_all(4, 0, 2000)`.
+
+An input is (term, discipline, fuel, context, check).  The script prints
+the number of distinct inputs and a SHA-256 over the sorted lines
+"input <tab> outcome", the outcome being the printed normal form or the
+exception's type and text.  It is a script, not a collected test:
+
+    PYTHONPATH=src python tests/normalize_digest.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import operadforge
+import operadforge.cli  # noqa: F401  (so that its `normalize` is recorded too)
+from operadforge import acceptance, comb
+from operadforge import normalize as normalize_module
+from operadforge.terms import Context, pretty
+
+from workloads import equivariance_blocks
+
+EQUIVARIANCE_OPS = 300
+
+
+def _record(outcomes: dict):
+    """Point every module's `normalize` at a wrapper that records each
+    distinct input's outcome in outcomes; returns a function that undoes it."""
+    original = normalize_module.normalize
+
+    def recording(t, d, fuel=normalize_module.DEFAULT_FUEL, ctx=Context(), check=True):
+        key = (t, d, fuel, ctx, check)
+        try:
+            out = original(t, d, fuel=fuel, ctx=ctx, check=check)
+        except Exception as e:  # the outcome is recorded, then re-raised
+            outcomes.setdefault(key, f"{type(e).__name__}: {e}")
+            raise
+        outcomes.setdefault(key, pretty(out))
+        return out
+
+    patched = [
+        m for m in vars(operadforge).values()
+        if getattr(m, "normalize", None) is original
+    ]
+    for m in patched:
+        m.normalize = recording
+
+    def restore():
+        for m in patched:
+            m.normalize = original
+
+    return restore
+
+
+def collect() -> dict:
+    outcomes: dict = {}
+    restore = _record(outcomes)
+    try:
+        for seed in range(3):
+            ops = itertools.chain.from_iterable(equivariance_blocks(seed))
+            for op in itertools.islice(ops, EQUIVARIANCE_OPS):
+                op.call()
+        for sig in comb.SIGNATURES.values():
+            comb.axiom_suite(sig, samples=6)
+        # criterion 12 runs the CLI, which reports Tr on stderr
+        with contextlib.redirect_stderr(io.StringIO()):
+            acceptance.run_all(4, 0, 2000, progress=False)
+    finally:
+        restore()
+    return outcomes
+
+
+def digest(outcomes: dict) -> str:
+    lines = sorted(
+        f"{pretty(t)} | {d.value} | {fuel} | {' '.join(ctx.names)} | {check}\t{out}"
+        for (t, d, fuel, ctx, check), out in outcomes.items()
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def main() -> None:
+    outcomes = collect()
+    print(f"{len(outcomes)} distinct normalize inputs, sha256 {digest(outcomes)}")
+
+
+if __name__ == "__main__":
+    main()

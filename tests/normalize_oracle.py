@@ -1,23 +1,24 @@
-"""Reference beta normalizer: the step-and-rescan stepper.
+"""Reference beta/eta normalizer: the step-and-rescan stepper.
 
-Each step searches the whole term from the root for its leftmost-outermost
-(or leftmost-innermost) redex, contracts it by substitution followed by a
-downward shift, rebuilds the path back to the root and re-canonicalizes the
-whole term's braids.  `operadforge.normalize.normalize` contracts the same
-redexes in the same order in one pass; this module is the differential
-oracle that checks it, and the second strategy that strategy-independence
-tests compare against.
+Each beta step searches the whole term from the root for its
+leftmost-outermost (or leftmost-innermost) redex, contracts it by
+substitution followed by a downward shift, rebuilds the path back to the
+root and re-canonicalizes the whole term's braids.  Eta contraction then
+steps the same way, outermost redex first, to a fixed point.
+`operadforge.normalize.normalize` contracts the same beta redexes in the
+same order in one pass, and contracts eta as that pass rebuilds each
+abstraction; this module is the differential oracle that checks it, and
+the second strategy that strategy-independence tests compare against.
 """
 
 from __future__ import annotations
 
-from operadforge.braids import cable
+from operadforge.braids import cable, remove_strand_one
 from operadforge.normalize import (
     DEFAULT_FUEL,
     SIZE_CAP,
     FuelExhausted,
     canon_braids,
-    eta_contract,
 )
 from operadforge.terms import (
     App,
@@ -31,6 +32,7 @@ from operadforge.terms import (
     TermError,
     Var,
     bind_context,
+    canon_wrap,
     check_discipline,
     shift,
     wires,
@@ -125,6 +127,49 @@ def _beta_normalize_fuelled(t: LTerm, fuel: int) -> LTerm:
         if r.size > SIZE_CAP:
             raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {steps} steps")
         t = r
+
+
+def _eta_once(t: LTerm) -> LTerm | None:
+    if isinstance(t, (Var, Const)):
+        return None
+    if isinstance(t, Lam):
+        body = t.body
+        if isinstance(body, App) and body.arg == Var(0) and 0 not in wires(body.fn):
+            return shift(body.fn, -1)
+        if (
+            isinstance(body, BraidNode)
+            and isinstance(body.body, App)
+            and body.body.arg == Var(0)
+            and 0 not in wires(body.body.fn)
+        ):
+            reduced = remove_strand_one(body.braid)
+            if reduced is not None:
+                return canon_wrap(reduced, shift(body.body.fn, -1))
+        r = _eta_once(t.body)
+        return None if r is None else Lam(r)
+    if isinstance(t, App):
+        r = _eta_once(t.fn)
+        if r is not None:
+            return App(r, t.arg)
+        r = _eta_once(t.arg)
+        return None if r is None else App(t.fn, r)
+    if isinstance(t, BraidNode):
+        r = _eta_once(t.body)
+        return None if r is None else BraidNode(t.braid, r)
+    raise TermError(f"unknown node {t!r}")
+
+
+def eta_contract(t: LTerm) -> LTerm:
+    """Apply \\x.M x -> M (x not free in M) to a fixed point.
+
+    Under a braid the step fires only when the bound wire's strand can be
+    removed from the word; the remaining braid stays in place.
+    """
+    while True:
+        r = _eta_once(t)
+        if r is None:
+            return canon_braids(t)
+        t = canon_braids(r)
 
 
 def normalize(

@@ -8,7 +8,6 @@ from operadforge.normalize import (
     braid_canonicalize,
     canon_braids,
     canonical_equal,
-    eta_contract,
     lam_equal,
     normalize,
 )
@@ -114,13 +113,13 @@ class TestNormalize:
 
 class TestEtaContract:
     def test_single(self):
-        assert eta_contract(parse(r"\x. f x")) == Const("f")
+        assert nf(r"\x. f x", P) == Const("f")
 
     def test_iterated(self):
-        assert eta_contract(parse(r"\x y. f x y")) == Const("f")
+        assert nf(r"\x y. f x y", P) == Const("f")
 
     def test_identity_untouched(self):
-        assert eta_contract(parse(r"\x. x")) == parse(r"\x. x")
+        assert nf(r"\x. x", P) == parse(r"\x. x")
 
     def test_under_braid_when_strand_clean(self):
         # the braid exchanges the outer two wires only; the bound wire's
@@ -132,23 +131,16 @@ class TestEtaContract:
         assert canonical_equal(braid_canonicalize(out), braid_canonicalize(want)) is Verdict.EQUAL
 
     def test_beta_normal_forms_need_no_recanonicalization(self, monkeypatch):
-        # the one pass builds its output canonical and flagged, so the eta
-        # contraction that normalize ends in re-canonicalizes nothing
+        # the one pass builds its output canonical and flagged, eta
+        # contractions included, so nothing is canonicalized again
         calls = []
-        canon, eta = normalize_module._canon, normalize_module.eta_contract
-
-        def eta_spy(t):
-            calls.append("eta")
-            return eta(t)
-
+        canon = normalize_module._canon
         monkeypatch.setattr(normalize_module, "_canon", lambda t: calls.append(t) or canon(t))
-        monkeypatch.setattr(normalize_module, "eta_contract", eta_spy)
         for src in (f"{CP_SRC} {B_SRC} {CM_SRC}", f"{CP_SRC} (f a) b", f"{B_SRC} {CP_SRC} (g {CM_SRC})"):
             t = canon_braids(parse(src))
             calls.clear()
             n = normalize(t, BR)
-            assert calls == ["eta"] and n.canon
-            assert eta_contract(n) is n
+            assert calls == [] and n.canon
 
     def test_blocked_under_entangled_braid(self):
         t = parse(r"\f x. [{2; 1 1}] (f x)")

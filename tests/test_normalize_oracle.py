@@ -17,8 +17,8 @@ import normalize_oracle as oracle
 from conftest import braid_words
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
-from operadforge.braids import BraidWord
-from operadforge.normalize import canon_braids, normalize
+from operadforge.braids import BraidWord, braid_inverse, permute_contents
+from operadforge.normalize import Verdict, canon_braids, normal_forms_equal, normalize
 from operadforge.terms import (
     App,
     BraidNode,
@@ -28,7 +28,9 @@ from operadforge.terms import (
     DisciplineError,
     Lam,
     Var,
+    app,
     beta_step_at,
+    check_discipline,
     lams,
     parse,
     pretty,
@@ -227,6 +229,99 @@ def test_cartesian_fuel_and_size_cap():
     outcomes = [str(assert_same(parse(src), CA, fuel=fuel)[-1]) for src, fuel in CARTESIAN_LIMITS]
     assert any("within" in o for o in outcomes)
     assert any("grew past" in o for o in outcomes)
+
+
+# -- eta contraction -------------------------------------------------------------
+
+
+def _under(word, ws):
+    """The wire order a braid node's body presents so that the node over it
+    presents ws: pushing the contents back through the word's inverse."""
+    return permute_contents(braid_inverse(word), ws[::-1])[::-1]
+
+
+def _eta_word(rng, n):
+    """A word on n strands that fixes strand 1's position: letters avoiding
+    it, and sometimes a pair of crossings on it, which handle reduction
+    cancels (then eta fires) or does not (then it is blocked)."""
+    letters = []
+    if n > 2:
+        letters = [rng.choice((1, -1)) * rng.randrange(2, n) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.3:
+        at = rng.randrange(len(letters) + 1)
+        letters[at:at] = rng.choice([(1, 1), (1, -1), (-1, -1)])
+    return BraidWord(n, tuple(letters))
+
+
+def _braided_term(rng, ws, size):
+    """A random braided term of about size nodes that presents the wires ws
+    (de Bruijn indices, in order): abstractions, most of the shape \\x. M x
+    or \\x. [w] (M x), applications, and braid nodes over subterms."""
+    roll = rng.random()
+    if size <= 1 or roll < 0.15:
+        if len(ws) == 1 and rng.random() < 0.7:
+            return Var(ws[0])
+        return app(Const(rng.choice("gh")), *map(Var, ws))
+    if roll < 0.55:
+        inner = [w + 1 for w in ws] + [0]
+        if rng.random() < 0.4:
+            return Lam(_braided_term(rng, inner, size - 1))
+        word = _eta_word(rng, len(inner)) if len(inner) > 1 and rng.random() < 0.6 else None
+        under = inner if word is None else _under(word, inner)
+        m = App(_braided_term(rng, under[:-1], size - 2), Var(0))
+        return Lam(m if word is None else BraidNode(word, m))
+    if roll < 0.7 and len(ws) >= 2:
+        word = BraidWord(len(ws), tuple(
+            rng.choice((1, -1)) * rng.randrange(1, len(ws)) for _ in range(rng.randrange(1, 4))
+        ))
+        return BraidNode(word, _braided_term(rng, _under(word, ws), size - 1))
+    k = rng.randint(0, len(ws))
+    return App(_braided_term(rng, ws[:k], size // 2), _braided_term(rng, ws[k:], size // 2))
+
+
+def test_braided_eta_matches_stepping(monkeypatch):
+    """The pass contracts eta as it rebuilds each abstraction, innermost
+    first; the oracle steps eta from the root after beta, outermost first.
+    On random braided terms in contexts of 0 to 3 names both give the same
+    skeleton and the same braid in every slot, and the pass's output is
+    canonical.  The slot words are the same words too, except where one
+    braided eta contraction sits inside another's body: the outer word is
+    then handle-reduced after the inner braid joined it, not before, which
+    spells the same braid differently.  Some terms must leave a braid from
+    an eta contraction in argument position, which the pass lifts into its
+    slot."""
+    left, shed, respelled = {}, 0, 0
+    eta, shed_fn = normalize_module.eta_contract, normalize_module._Slot.shed
+
+    def eta_spy(t):
+        out = eta(t)
+        if out is not t and type(out) is BraidNode:
+            left[id(out)] = out
+        return out
+
+    def shed_spy(slot, r, right):
+        nonlocal shed
+        shed += id(r) in left
+        return shed_fn(slot, r, right)
+
+    monkeypatch.setattr(normalize_module, "eta_contract", eta_spy)
+    monkeypatch.setattr(normalize_module._Slot, "shed", shed_spy)
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(0, 3)
+        t = _braided_term(rng, list(range(n - 1, -1, -1)), rng.randint(4, 18))
+        ctx = Context(tuple(f"x{i}" for i in range(n)))
+        assert check_discipline(t, BR, ctx), pretty(t)
+        got = normalize(t, BR, ctx=ctx)
+        want = oracle.normalize(t, BR, ctx=ctx)
+        assert got.canon, pretty(t)
+        if got == want:
+            assert pretty(got) == pretty(want)
+        else:
+            respelled += 1
+            assert normal_forms_equal(got, want, BR) is Verdict.EQUAL, pretty(t)
+    assert shed >= 50
+    assert respelled < 10
 
 
 # -- one contraction -------------------------------------------------------------
