@@ -5,8 +5,8 @@ Submodules:
 * ``braids``     -- braid group words, handle reduction, cabling, block sums
 * ``terms``      -- lambda terms under planar / linear / braided / cartesian
                     usage disciplines, with braid-annotated exchange
-* ``normalize``  -- beta/eta normalization and the per-discipline equality
-                    oracle
+* ``normalize``  -- beta/eta normalization and the equality of normal
+                    forms
 * ``comb``       -- combinator expressions, bracket abstraction, axiom suites
 * ``operad``     -- arities, the internal operad, group actions, trace syntax
 * ``acceptance`` -- the end-to-end acceptance battery (also via the CLI)

@@ -48,9 +48,6 @@ class Result:
     ok: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
 
 # -- criterion 1: braid relations and the brute-force cross-check -------------------
 

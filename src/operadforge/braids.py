@@ -43,27 +43,11 @@ class Permutation:
         if sorted(self.image) != list(range(1, self.size + 1)):
             raise ValueError(f"not a permutation of 1..{self.size}: {self.image}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(n, tuple(range(1, n + 1)))
-
     def is_identity(self) -> bool:
         return all(self.image[k] == k + 1 for k in range(self.size))
 
     def __call__(self, k: int) -> int:
         return self.image[k - 1]
-
-    def inverse(self) -> "Permutation":
-        img = [0] * self.size
-        for k in range(1, self.size + 1):
-            img[self.image[k - 1] - 1] = k
-        return Permutation(self.size, tuple(img))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite "self, then other"."""
-        if self.size != other.size:
-            raise DimensionError("permutation size mismatch")
-        return Permutation(self.size, tuple(other(self(k)) for k in range(1, self.size + 1)))
 
 
 @dataclass(frozen=True)
@@ -89,10 +73,6 @@ class BraidWord:
 
 def trivial(n: int) -> BraidWord:
     return BraidWord(n, ())
-
-
-def generator(n: int, i: int) -> BraidWord:
-    return BraidWord(n, (i,))
 
 
 def braid_compose(u: BraidWord, v: BraidWord) -> BraidWord:

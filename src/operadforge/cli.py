@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import acceptance, braids, comb, operad, terms
 from .normalize import DEFAULT_FUEL, FuelExhausted, Verdict, lam_equal, normalize
@@ -251,7 +251,7 @@ def cmd_axioms(args, cfg: RunConfig) -> int:
     sig = _signature(args.signature)
     reports = comb.axiom_suite(sig, samples=cfg.samples, seed=cfg.seed, fuel=cfg.fuel)
     if cfg.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
+        print(json.dumps([asdict(r) for r in reports], indent=2))
     else:
         for r in reports:
             print(f"{r.status.upper():7s} {r.axiom}")
@@ -276,7 +276,7 @@ def cmd_trace(args, cfg: RunConfig) -> int:
 def cmd_suite(args, cfg: RunConfig) -> int:
     results = acceptance.run_all(cfg.samples, cfg.seed, cfg.fuel, progress=not cfg.json)
     if cfg.json:
-        print(json.dumps([r.as_dict() for r in sorted(results, key=lambda r: r.name)], indent=2))
+        print(json.dumps([asdict(r) for r in sorted(results, key=lambda r: r.name)], indent=2))
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -27,8 +27,8 @@ from .normalize import (
     DEFAULT_FUEL,
     FuelExhausted,
     Verdict,
+    canonical_equal,
     lam_equal,
-    normal_forms_equal,
     normalize,
 )
 from .terms import App as LApp
@@ -295,14 +295,9 @@ def parse_cterm(text: str) -> CTerm:
     return t
 
 
-def format_cterm(t: CTerm, compose_sugar: bool = True) -> str:
+def format_cterm(t: CTerm) -> str:
     def is_compose(u: CTerm) -> bool:
-        return (
-            compose_sugar
-            and isinstance(u, CApp)
-            and isinstance(u.fn, CApp)
-            and u.fn.fn == B
-        )
+        return isinstance(u, CApp) and isinstance(u.fn, CApp) and u.fn.fn == B
 
     def go(u: CTerm, ctx: str) -> str:
         # ctx: 'top' | 'left-of-o' | 'fn' | 'arg'
@@ -390,9 +385,9 @@ def comb_normal_form(c: CTerm, sig: Signature, fuel: int = DEFAULT_FUEL) -> LTer
 
 @dataclass(frozen=True)
 class Id:
-    """One variable occurrence; var=None means positional numbering."""
+    """One occurrence of the variable numbered var."""
 
-    var: Optional[int] = None
+    var: int
 
 
 @dataclass(frozen=True)
@@ -417,30 +412,9 @@ def _leaves(p: PolyExpr) -> list[Id]:
     return _leaves(p.fn) + _leaves(p.arg)
 
 
-def resolve_positional(p: PolyExpr) -> PolyExpr:
-    """Give anonymous Id leaves their positional indices (left to right)."""
-    leaves = _leaves(p)
-    anonymous = [l for l in leaves if l.var is None]
-    if anonymous and len(anonymous) != len(leaves):
-        raise CombError("mix of indexed and positional variables")
-    if not anonymous:
-        return p
-    counter = iter(range(len(leaves)))
-
-    def go(q: PolyExpr) -> PolyExpr:
-        if isinstance(q, Id):
-            return Id(next(counter))
-        if isinstance(q, Coef):
-            return q
-        return AppP(go(q.fn), go(q.arg))
-
-    return go(p)
-
-
 def poly_arity(p: PolyExpr) -> int:
     """One more than the largest variable index; indices may repeat or be
     skipped (meaningful only for the cartesian signature)."""
-    p = resolve_positional(p)
     indices = [l.var for l in _leaves(p)]
     return max(indices) + 1 if indices else 0
 
@@ -455,8 +429,6 @@ def poly_value(p: PolyExpr) -> CTerm:
 
 
 def poly_instantiate(p: PolyExpr, args: Sequence[CTerm]) -> CTerm:
-    p = resolve_positional(p)
-
     def go(q: PolyExpr) -> CTerm:
         if isinstance(q, Id):
             return args[q.var]
@@ -537,7 +509,6 @@ def _relabel(p: PolyExpr, old: int, new: int) -> PolyExpr:
 def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
     """Close a polynomial over all its variables, last variable first, so the
     result applied to q1 .. qm equals the polynomial at (q1, .., qm)."""
-    p = resolve_positional(p)
     m = poly_arity(p)
     if m == 0:
         raise CombError("polynomial has no variable to abstract")
@@ -562,7 +533,6 @@ def beta_check_abstraction(
 ) -> Verdict:
     """Certify an abstraction: applying it to fresh constants (and to sampled
     closed terms) recovers the polynomial."""
-    p = resolve_positional(p)
     m = poly_arity(p)
     abst = bracket_abstract(p, sig)
     fresh = [ConstRef(f"q{i}") for i in range(m)]
@@ -718,15 +688,6 @@ class AxiomReport:
     rhs_nf: str
     witness_bindings: Optional[dict[str, str]] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "status": self.status,
-            "lhs_nf": self.lhs_nf,
-            "rhs_nf": self.rhs_nf,
-            "witness_bindings": self.witness_bindings,
-        }
-
 
 def _check_instance(
     lhs: CTerm, rhs: CTerm, sig: Signature, fuel: int
@@ -737,7 +698,7 @@ def _check_instance(
         n2 = comb_normal_form(rhs, sig, fuel=fuel)
     except FuelExhausted:
         return Verdict.FUEL_EXHAUSTED, "<no normal form>", "<no normal form>"
-    v = normal_forms_equal(n1, n2, sig.discipline)
+    v = canonical_equal(n1, n2)
     return v, terms.pretty(n1), terms.pretty(n2)
 
 

@@ -27,16 +27,20 @@ redex, and the only eta redex it can expose is at its parent, which the
 pass rebuilds next; so the output is eta-normal.  An eta step under a braid
 fires only when the bound wire's strand is provably unentangled (its
 reduced word avoids the first strand), and the braid it leaves in argument
-position joins its slot's word like a reduct's.  A normal form is read off
-as a skeleton plus one braid word per slot.  Equality then compares
-skeletons structurally and slot words by the braid-group word problem.
+position joins its slot's word like a reduct's.
+
+Two normal forms are compared by one walk over both canonical forms in
+lockstep (`canonical_equal`): node types must match and leaves be equal,
+and where either side has a braid node, the two slot words, a missing one
+counting as trivial, must be equal as braids, which the word problem
+decides.  Only braided terms have braid nodes, so the same walk decides
+equality in all four disciplines.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
 
 from .braids import (
     BraidWord,
@@ -333,57 +337,6 @@ def normalize(
     return _NormalOrder(fuel, t.size).scope(t)
 
 
-# -- canonical forms for braided terms ---------------------------------------------
-
-@dataclass
-class CanonicalForm:
-    """Skeleton with braid words keyed by slot path.
-
-    Slot paths are strings over {L, F, A} (Lam body / App function / App
-    argument) addressing the node the braid wraps in the skeleton.  Trivial
-    words are omitted.
-    """
-
-    skeleton: LTerm
-    braids: dict[str, BraidWord] = field(default_factory=dict)
-
-
-def braid_canonicalize(t: LTerm) -> CanonicalForm:
-    """Canonical form of a beta-normal braided term."""
-    t = canon_braids(t)
-    braids: dict[str, BraidWord] = {}
-
-    def go(u: LTerm, path: str) -> LTerm:
-        if isinstance(u, BraidNode):
-            braids[path] = u.braid
-            u = u.body
-        if isinstance(u, Lam):
-            return Lam(go(u.body, path + "L"))
-        if isinstance(u, App):
-            return App(go(u.fn, path + "F"), go(u.arg, path + "A"))
-        if isinstance(u, BraidNode):
-            raise AssertionError("adjacent braids survived canonicalization")
-        return u
-
-    skeleton = go(t, "")
-    return CanonicalForm(skeleton, braids)
-
-
-def canonical_equal(a: CanonicalForm, b: CanonicalForm) -> Verdict:
-    if a.skeleton != b.skeleton:
-        return Verdict.NOT_EQUAL
-    for path in set(a.braids) | set(b.braids):
-        wa = a.braids.get(path)
-        wb = b.braids.get(path)
-        if wa is None:
-            wa = trivial(wb.strands)
-        if wb is None:
-            wb = trivial(wa.strands)
-        if wa.strands != wb.strands or not braid_equal(wa, wb):
-            return Verdict.NOT_EQUAL
-    return Verdict.EQUAL
-
-
 # -- the equality oracle -------------------------------------------------------------
 
 def lam_equal(
@@ -403,11 +356,35 @@ def lam_equal(
         n2 = normalize(t2, d, fuel=fuel, ctx=ctx, check=False)
     except FuelExhausted:
         return Verdict.FUEL_EXHAUSTED
-    return normal_forms_equal(n1, n2, d)
+    return canonical_equal(n1, n2)
 
 
-def normal_forms_equal(n1: LTerm, n2: LTerm, d: Discipline) -> Verdict:
-    """Decide equality of two normal forms of discipline d."""
-    if d is Discipline.BRAIDED:
-        return canonical_equal(braid_canonicalize(n1), braid_canonicalize(n2))
-    return Verdict.EQUAL if n1 == n2 else Verdict.NOT_EQUAL
+def canonical_equal(t1: LTerm, t2: LTerm) -> Verdict:
+    """Decide equality of two normal forms of the same discipline: one walk
+    in lockstep, slot by slot (see the module docstring).  Two slot words
+    must also have the same strand count."""
+    todo = [(canon_braids(t1), canon_braids(t2))]
+    while todo:
+        a, b = todo.pop()
+        wa = wb = None
+        if type(a) is BraidNode:
+            wa, a = a.braid, a.body
+        if type(b) is BraidNode:
+            wb, b = b.braid, b.body
+        if wa is not None or wb is not None:
+            if wa is None:
+                wa = trivial(wb.strands)
+            elif wb is None:
+                wb = trivial(wa.strands)
+            if wa.strands != wb.strands or not braid_equal(wa, wb):
+                return Verdict.NOT_EQUAL
+        if type(a) is not type(b):
+            return Verdict.NOT_EQUAL
+        if type(a) is Lam:
+            todo.append((a.body, b.body))
+        elif type(a) is App:
+            todo.append((a.arg, b.arg))
+            todo.append((a.fn, b.fn))
+        elif a != b:
+            return Verdict.NOT_EQUAL
+    return Verdict.EQUAL

@@ -12,7 +12,14 @@ prints.  The corpus is every distinct input that `normalize` receives from
 An input is (term, discipline, fuel, context, check).  The script prints
 the number of distinct inputs and a SHA-256 over the sorted lines
 "input <tab> outcome", the outcome being the printed normal form or the
-exception's type and text.  It is a script, not a collected test:
+exception's type and text.
+
+A second line covers the equality decision: the number of comparisons
+that `operad.check_equivariance` makes on the same 300 operations of each
+seed, once for criterion 11's law and once for its mirror (each word's
+letters negated before cabling, as in `tests/test_equivariance.py`), and a
+SHA-256 over their lines "lhs = rhs <tab> verdict" in order.  The verdicts
+come from `comb.comb_equal`.  It is a script, not a collected test:
 
     PYTHONPATH=src python tests/normalize_digest.py
 """
@@ -30,8 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import operadforge
 import operadforge.cli  # noqa: F401  (so that its `normalize` is recorded too)
-from operadforge import acceptance, comb
+from operadforge import acceptance, comb, operad
 from operadforge import normalize as normalize_module
+from operadforge.braids import BraidWord, cable
 from operadforge.terms import Context, pretty
 
 from workloads import equivariance_blocks
@@ -73,8 +81,7 @@ def collect() -> dict:
     restore = _record(outcomes)
     try:
         for seed in range(3):
-            ops = itertools.chain.from_iterable(equivariance_blocks(seed))
-            for op in itertools.islice(ops, EQUIVARIANCE_OPS):
+            for op in _equivariance_ops(seed):
                 op.call()
         for sig in comb.SIGNATURES.values():
             comb.axiom_suite(sig, samples=6)
@@ -94,9 +101,44 @@ def digest(outcomes: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _equivariance_ops(seed: int):
+    ops = itertools.chain.from_iterable(equivariance_blocks(seed))
+    return itertools.islice(ops, EQUIVARIANCE_OPS)
+
+
+def verdicts() -> list[str]:
+    """One line per comparison of the law and of its mirror, in order."""
+    lines = []
+
+    def recording(lhs, rhs, sig, fuel=normalize_module.DEFAULT_FUEL):
+        v = comb.comb_equal(lhs, rhs, sig, fuel=fuel)
+        lines.append(f"{comb.format_cterm(lhs)} = {comb.format_cterm(rhs)}\t{v}")
+        return v
+
+    def mirrored(s, widths):
+        return cable(BraidWord(s.strands, tuple(-a for a in s.letters)), widths)
+
+    operad.comb_equal = recording
+    try:
+        for seed in range(3):
+            for op in _equivariance_ops(seed):
+                op.call()
+                operad.cable = mirrored
+                try:
+                    op.call()
+                finally:
+                    operad.cable = cable
+    finally:
+        operad.comb_equal = comb.comb_equal
+    return lines
+
+
 def main() -> None:
     outcomes = collect()
     print(f"{len(outcomes)} distinct normalize inputs, sha256 {digest(outcomes)}")
+    lines = verdicts()
+    sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{len(lines)} law and mirror verdicts, sha256 {sha}")
 
 
 if __name__ == "__main__":

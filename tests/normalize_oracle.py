@@ -9,15 +9,24 @@ steps the same way, outermost redex first, to a fixed point.
 same order in one pass, and contracts eta as that pass rebuilds each
 abstraction; this module is the differential oracle that checks it, and
 the second strategy that strategy-independence tests compare against.
+
+A reference equality on normal forms lives here too: `braid_canonicalize`
+copies a normal form into a braid-free skeleton and a dict of slot words
+keyed by path, and `forms_equal` compares two such copies.
+`operadforge.normalize.canonical_equal` decides the same by one walk over
+both terms, with no copy.
 """
 
 from __future__ import annotations
 
-from operadforge.braids import cable, remove_strand_one
+from dataclasses import dataclass, field
+
+from operadforge.braids import BraidWord, braid_equal, cable, remove_strand_one, trivial
 from operadforge.normalize import (
     DEFAULT_FUEL,
     SIZE_CAP,
     FuelExhausted,
+    Verdict,
     canon_braids,
 )
 from operadforge.terms import (
@@ -191,3 +200,54 @@ def normalize(
     else:
         t = _beta_normalize_fuelled(t, fuel)
     return eta_contract(t)
+
+
+# -- canonical forms for braided terms ---------------------------------------------
+
+@dataclass
+class CanonicalForm:
+    """Skeleton with braid words keyed by slot path.
+
+    Slot paths are strings over {L, F, A} (Lam body / App function / App
+    argument) addressing the node the braid wraps in the skeleton.  Trivial
+    words are omitted.
+    """
+
+    skeleton: LTerm
+    braids: dict[str, BraidWord] = field(default_factory=dict)
+
+
+def braid_canonicalize(t: LTerm) -> CanonicalForm:
+    """Canonical form of a beta-normal braided term."""
+    t = canon_braids(t)
+    braids: dict[str, BraidWord] = {}
+
+    def go(u: LTerm, path: str) -> LTerm:
+        if isinstance(u, BraidNode):
+            braids[path] = u.braid
+            u = u.body
+        if isinstance(u, Lam):
+            return Lam(go(u.body, path + "L"))
+        if isinstance(u, App):
+            return App(go(u.fn, path + "F"), go(u.arg, path + "A"))
+        if isinstance(u, BraidNode):
+            raise AssertionError("adjacent braids survived canonicalization")
+        return u
+
+    skeleton = go(t, "")
+    return CanonicalForm(skeleton, braids)
+
+
+def forms_equal(a: CanonicalForm, b: CanonicalForm) -> Verdict:
+    if a.skeleton != b.skeleton:
+        return Verdict.NOT_EQUAL
+    for path in set(a.braids) | set(b.braids):
+        wa = a.braids.get(path)
+        wb = b.braids.get(path)
+        if wa is None:
+            wa = trivial(wb.strands)
+        if wb is None:
+            wb = trivial(wa.strands)
+        if wa.strands != wb.strands or not braid_equal(wa, wb):
+            return Verdict.NOT_EQUAL
+    return Verdict.EQUAL

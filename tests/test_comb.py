@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -200,13 +201,13 @@ class TestBPowers:
 
 class TestBracketAbstraction:
     def test_variable_alone(self):
-        assert bracket_abstract(Id(), BIBULLET) == I
+        assert bracket_abstract(Id(0), BIBULLET) == I
 
     def test_variable_applied_to_coefficient(self):
-        assert bracket_abstract(AppP(Id(), Coef(a)), BIBULLET) == capp(B, Bullet(a), I)
+        assert bracket_abstract(AppP(Id(0), Coef(a)), BIBULLET) == capp(B, Bullet(a), I)
 
     def test_coefficient_applied_to_variable(self):
-        assert bracket_abstract(AppP(Coef(a), Id()), BIBULLET) == capp(B, a, I)
+        assert bracket_abstract(AppP(Coef(a), Id(0)), BIBULLET) == capp(B, a, I)
 
     def test_planar_order_enforced(self):
         swapped = AppP(Id(1), Id(0))
@@ -241,9 +242,9 @@ class TestBracketAbstraction:
 
     def test_certification_across_signatures(self, rng):
         polys = [
-            AppP(Id(), Id()),
-            AppP(AppP(Id(), Coef(a)), Id()),
-            AppP(Coef(a), AppP(Id(), Coef(b))),
+            AppP(Id(0), Id(1)),
+            AppP(AppP(Id(0), Coef(a)), Id(1)),
+            AppP(Coef(a), AppP(Id(0), Coef(b))),
         ]
         for sig in (BIBULLET, BCI, BCPMI):
             for p in polys:
@@ -251,7 +252,7 @@ class TestBracketAbstraction:
 
     def test_closed_output(self, rng):
         for sig in (BIBULLET, BCI, BCIWK):
-            p = AppP(AppP(Id(), Coef(sample_closed(sig, rng, max_depth=1))), Id())
+            p = AppP(AppP(Id(0), Coef(sample_closed(sig, rng, max_depth=1))), Id(1))
             out = bracket_abstract(p, sig)
             assert comb_equal(
                 capp(out, a, b),
@@ -260,7 +261,7 @@ class TestBracketAbstraction:
             ) is Verdict.EQUAL
 
     def test_poly_arity(self):
-        assert poly_arity(AppP(Id(), AppP(Id(), Coef(a)))) == 2
+        assert poly_arity(AppP(Id(0), AppP(Id(1), Coef(a)))) == 2
         assert poly_arity(Coef(a)) == 0
 
 
@@ -294,7 +295,7 @@ class TestAxiomSuites:
 
     def test_reports_serialize(self):
         reports = axiom_suite(BIBULLET, samples=2, seed=0)
-        payload = json.dumps([r.as_dict() for r in reports])
+        payload = json.dumps([asdict(r) for r in reports])
         parsed = json.loads(payload)
         assert {row["axiom"] for row in parsed} == {"BI", "app*", "B*", "I*", "**"}
         assert all(set(row) == {"axiom", "status", "lhs_nf", "rhs_nf", "witness_bindings"} for row in parsed)
@@ -319,8 +320,8 @@ class TestAxiomSuites:
                     assert len(calls) == 2, (sig.tag, ax.name)
 
     def test_determinism(self):
-        r1 = [r.as_dict() for r in axiom_suite(BCI, samples=5, seed=9)]
-        r2 = [r.as_dict() for r in axiom_suite(BCI, samples=5, seed=9)]
+        r1 = [asdict(r) for r in axiom_suite(BCI, samples=5, seed=9)]
+        r2 = [asdict(r) for r in axiom_suite(BCI, samples=5, seed=9)]
         assert r1 == r2
 
 

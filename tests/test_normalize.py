@@ -5,7 +5,6 @@ from operadforge.braids import parse_braid
 from operadforge.normalize import (
     FuelExhausted,
     Verdict,
-    braid_canonicalize,
     canon_braids,
     canonical_equal,
     lam_equal,
@@ -128,7 +127,7 @@ class TestEtaContract:
         assert check_discipline(t, BR)
         out = normalize(t, BR)
         want = parse(r"\f x. [{2; 1}] (x f)")
-        assert canonical_equal(braid_canonicalize(out), braid_canonicalize(want)) is Verdict.EQUAL
+        assert canonical_equal(out, want) is Verdict.EQUAL
 
     def test_beta_normal_forms_need_no_recanonicalization(self, monkeypatch):
         # the one pass builds its output canonical and flagged, eta
@@ -234,9 +233,7 @@ class TestAxiomRewriteCrossCheck:
 class TestCanonicalForm:
     def test_cancellation(self):
         t = BraidNode(parse_braid("{2; 1}"), BraidNode(parse_braid("{2; -1}"), parse("x y")))
-        cf = braid_canonicalize(canon_braids(t))
-        assert cf.braids == {}
-        assert cf.skeleton == parse("x y")
+        assert canon_braids(t) == parse("x y")
 
     def test_application_lifts_argument_braid_first(self):
         # the argument's word rides the low strands and comes first
@@ -250,39 +247,31 @@ class TestCanonicalForm:
 
     def test_one_word_per_scope(self):
         t = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)
-        cf = braid_canonicalize(t)
-        assert list(cf.braids) == ["LLL"]
-        assert cf.braids["LLL"] == parse_braid("{3; 1}")
+        skeleton = parse(r"\f x y. f (y x)")
+        assert t == Lam(Lam(Lam(BraidNode(parse_braid("{3; 1}"), skeleton.body.body.body))))
 
-    def test_rebuild_round_trip(self):
+    def test_distinct_braids_not_equal(self):
         t = normalize(parse(r"\f x y. [{3; 1 1 1}] (f (y x))"), BR)
-        cf = braid_canonicalize(t)
-        assert rebuild(cf) == t
-        assert cf.braids and not canonical_equal(
-            cf, braid_canonicalize(normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR))
-        ) is Verdict.EQUAL
+        other = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)
+        assert canonical_equal(t, other) is Verdict.NOT_EQUAL
 
     def test_canonical_equal_braid_words(self):
-        t1 = braid_canonicalize(normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR))
-        t2 = braid_canonicalize(normalize(parse(r"\f x y. [{3; 1 2 -2}] (f (y x))"), BR))
+        t1 = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)
+        t2 = normalize(parse(r"\f x y. [{3; 1 2 -2}] (f (y x))"), BR)
+        assert t1 != t2
         assert canonical_equal(t1, t2) is Verdict.EQUAL
 
+    def test_word_on_one_side_only(self):
+        # a pure braid: the same wires in the same order, with or without it
+        plain = normalize(parse(r"\f x y. f (x y)"), BR)
+        braided = normalize(parse(r"\f x y. [{3; 1 1}] (f (x y))"), BR)
+        assert canonical_equal(braided, plain) is Verdict.NOT_EQUAL
+        assert canonical_equal(plain, braided) is Verdict.NOT_EQUAL
 
-def rebuild(cf):
-    """The term a canonical form reads off: each slot word wraps the node at
-    its path."""
-
-    def go(u, path):
-        if isinstance(u, Lam):
-            out = Lam(go(u.body, path + "L"))
-        elif isinstance(u, App):
-            out = App(go(u.fn, path + "F"), go(u.arg, path + "A"))
-        else:
-            out = u
-        here = cf.braids.get(path)
-        return BraidNode(here, out) if here is not None else out
-
-    return go(cf.skeleton, "")
+    def test_equal_words_over_different_skeletons(self):
+        t1 = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)
+        t2 = normalize(parse(r"\f x y. [{3; 1}] (f y x)"), BR)
+        assert canonical_equal(t1, t2) is Verdict.NOT_EQUAL
 
 
 class TestFuelVerdict:

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import normalize_oracle as oracle
 from conftest import braid_words
+from test_equivariance import checks, mirror
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
-from operadforge.braids import BraidWord, braid_inverse, permute_contents
-from operadforge.normalize import Verdict, canon_braids, normal_forms_equal, normalize
+from operadforge.braids import BraidWord, braid_inverse, cable, permute_contents
+from operadforge.normalize import Verdict, canon_braids, canonical_equal, normalize
 from operadforge.terms import (
     App,
     BraidNode,
@@ -319,7 +320,7 @@ def test_braided_eta_matches_stepping(monkeypatch):
             assert pretty(got) == pretty(want)
         else:
             respelled += 1
-            assert normal_forms_equal(got, want, BR) is Verdict.EQUAL, pretty(t)
+            assert canonical_equal(got, want) is Verdict.EQUAL, pretty(t)
     assert shed >= 50
     assert respelled < 10
 
@@ -440,3 +441,43 @@ def test_group_drops_a_word_trivial_part_way():
     assert beta_step_at(fn, [Const("a"), Var(5)]) == (reduct, [1, 2])
     with pytest.raises(DisciplineError, match="^duplicated wire under a braid node$"):
         beta_step_at(fn, [Var(4), Var(5)])
+
+
+# -- equality of normal forms ------------------------------------------------------
+
+
+def test_canonical_equal_matches_canonical_forms(monkeypatch):
+    """The one walk against the reference equality, which copies each
+    normal form into a skeleton and a dict of slot words
+    (`oracle.forms_equal`).  The pairs are the normal forms of both sides of criterion 11's law and of
+    its mirror (see test_equivariance.py), and random pairs of equal-size
+    normal forms drawn from them.  The mirror cells give NotEqual verdicts
+    between equal skeletons, which only the slot words decide."""
+    sides = []
+    monkeypatch.setattr(
+        operad, "comb_equal", lambda lhs, rhs, sig, fuel=None: sides.append((lhs, rhs))
+    )
+    for f, gs, s in checks(300, seed=2):
+        operad.check_equivariance(f, gs, s, comb.BCPMI)
+        with monkeypatch.context() as m:
+            m.setattr(operad, "cable", lambda s, widths: cable(mirror(s), widths))
+            operad.check_equivariance(f, gs, s, comb.BCPMI)
+    pairs = [tuple(comb.comb_normal_form(c, comb.BCPMI) for c in side) for side in sides]
+    by_size = {}
+    for n in itertools.chain.from_iterable(pairs):
+        by_size.setdefault(n.size, []).append(n)
+    rng = random.Random(2)
+    sizes = sorted(by_size)
+    for _ in range(1500):
+        group = by_size[rng.choice(sizes)]
+        pairs.append((rng.choice(group), rng.choice(group)))
+    verdicts = {}
+    for n1, n2 in pairs:
+        f1, f2 = oracle.braid_canonicalize(n1), oracle.braid_canonicalize(n2)
+        got = canonical_equal(n1, n2)
+        assert got is oracle.forms_equal(f1, f2), (pretty(n1), pretty(n2))
+        key = (got, f1.skeleton == f2.skeleton)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts[(Verdict.NOT_EQUAL, True)] >= 100, verdicts
+    assert verdicts[(Verdict.NOT_EQUAL, False)] >= 100, verdicts
+    assert verdicts[(Verdict.EQUAL, True)] >= 100, verdicts

@@ -4,7 +4,7 @@ import pytest
 
 from operadforge import comb, terms
 from operadforge.braids import parse_braid
-from operadforge.normalize import Verdict, braid_canonicalize, canonical_equal
+from operadforge.normalize import Verdict, canonical_equal
 from operadforge.terms import (
     App,
     BraidNode,
@@ -285,7 +285,7 @@ class TestSubst:
 
 def canonically_equal(t1, t2) -> bool:
     """Equal skeletons, with braid words compared as group elements."""
-    return canonical_equal(braid_canonicalize(t1), braid_canonicalize(t2)) is Verdict.EQUAL
+    return canonical_equal(t1, t2) is Verdict.EQUAL
 
 
 class TestAlphaEq:
