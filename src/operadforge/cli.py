@@ -354,8 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse printed the help (code 0) or its usage line and message
+        # (code 2, which here means fuel exhaustion): a usage error is 1
+        return 1 if e.code else 0
     try:
         cfg = RunConfig(
             fuel=args.fuel if args.fuel is not None else _default_fuel(),

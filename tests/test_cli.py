@@ -214,3 +214,33 @@ class TestEnvFuel:
         monkeypatch.setenv("OPERADFORGE_FUEL", "zero")
         code, _, err = run(capsys, "norm", "-d", "planar", r"\x. x")
         assert code == 1
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, as the other input errors do; its
+    own code, 2, is the fuel-exhaustion code here."""
+
+    @pytest.mark.parametrize(
+        "argv,usage,message",
+        [
+            (("norm", "-d", "planar"), "usage: operadforge norm ",
+             "the following arguments are required: term"),
+            (("frobnicate",), "usage: operadforge ", "invalid choice: 'frobnicate'"),
+            (("arity", "--bound", "x", "B"), "usage: operadforge arity ",
+             "argument --bound: invalid int value: 'x'"),
+            (("--fuel", "many", "norm", "-d", "planar", "x"), "usage: operadforge ",
+             "argument --fuel: invalid int value: 'many'"),
+            ((), "usage: operadforge ", "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, usage, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(usage)
+        assert ": error: " in err and message in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("norm", "--help")])
+    def test_help_exit_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: operadforge")

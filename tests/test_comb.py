@@ -3,8 +3,10 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from operadforge import comb, normalize
+from operadforge import comb, normalize, terms
 from operadforge.comb import (
     BCI,
     BCIWK,
@@ -147,6 +149,115 @@ class TestToLambda:
             to_lambda(W, Discipline.LINEAR)
         with pytest.raises(UnsupportedTrace):
             to_lambda(Prim("Tr"), Discipline.BRAIDED)
+
+
+def _walk_image(c, d):
+    """The translation as one recursive walk, building every node afresh and
+    raising at the first primitive, in preorder, that has no image in d."""
+    if isinstance(c, Prim):
+        if c.name == "Tr":
+            raise UnsupportedTrace("Tr has no lambda image")
+        if c.name not in comb.DISCIPLINE_PRIMITIVES[d]:
+            raise CombError(f"primitive {c.name} does not fit the {d.value} discipline")
+        return parse(comb._PRIM_LAMBDA_SRC[c.name])
+    if isinstance(c, CApp):
+        return terms.App(_walk_image(c.fn, d), _walk_image(c.arg, d))
+    if isinstance(c, Bullet):
+        return terms.Lam(terms.App(terms.Var(0), terms.shift(_walk_image(c.arg, d), 1)))
+    return terms.Const(c.name)
+
+
+def _any_cterms():
+    """Expressions over every primitive, Tr included, and two constants."""
+    leaves = [Prim(p) for p in PRIM_NAMES] + [a, b]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(st.builds(CApp, sub, sub), st.builds(Bullet, sub)),
+        max_leaves=10,
+    )
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except CombError as e:
+        return ("raised", type(e), str(e))
+
+
+class TestTranslationCache:
+    """Each expression node keeps its primitive set and its image."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_cterms())
+    def test_image_and_errors_match_the_walk(self, c):
+        # copies of c: one fresh for each discipline, so that its caches
+        # start empty, and one shared by all four
+        shared = parse_cterm(format_cterm(c))
+        for d in Discipline:
+            want = _outcome(lambda: _walk_image(c, d))
+            assert _outcome(lambda: to_lambda(parse_cterm(format_cterm(c)), d)) == want
+            assert _outcome(lambda: to_lambda(shared, d)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_cterms())
+    def test_one_image_for_every_fitting_discipline(self, c):
+        fits = [d for d in Discipline if comb.prims_used(c) <= comb.DISCIPLINE_PRIMITIVES[d]]
+        images = [to_lambda(c, d) for d in fits]
+        assert all(image is images[0] for image in images)
+
+    def test_first_unfit_primitive_in_preorder(self):
+        cases = [
+            ("W K", Discipline.BRAIDED, CombError, "primitive W does not fit the braided discipline"),
+            ("K W", Discipline.LINEAR, CombError, "primitive K does not fit the linear discipline"),
+            ("B (C (C+ W))", Discipline.PLANAR, CombError,
+             "primitive C does not fit the planar discipline"),
+            ("B (Tr W)", Discipline.LINEAR, UnsupportedTrace, "Tr has no lambda image"),
+            ("B (W Tr)*", Discipline.LINEAR, CombError,
+             "primitive W does not fit the linear discipline"),
+        ]
+        for src, d, error, message in cases:
+            c = parse_cterm(src)
+            for _ in range(2):  # the second time from the cached primitive sets
+                with pytest.raises(error) as caught:
+                    to_lambda(c, d)
+                assert type(caught.value) is error and str(caught.value) == message
+
+    def test_prims_used_returns_a_copy(self):
+        c = parse_cterm("B (C I)")
+        used = comb.prims_used(c)
+        assert used == {"B", "C", "I"}
+        used.add("W")
+        used.discard("C")
+        assert comb.prims_used(c) == {"B", "C", "I"}
+        assert comb.prims_used(c.arg) == {"C", "I"}
+        assert to_lambda(c, Discipline.LINEAR) == parse(r"(\f x y. f (x y)) ((\f x y. f y x) (\x. x))")
+        with pytest.raises(CombError, match="^primitive C does not fit the planar discipline$"):
+            to_lambda(c, Discipline.PLANAR)
+
+    def test_second_comparison_checks_only_new_nodes(self, monkeypatch):
+        rng = random.Random(5)
+        p, q = sample_closed(BCPMI, rng), sample_closed(BCPMI, rng)
+        assert comb_equal(capp(B, p, q), capp(B, q, p), BCPMI) in Verdict
+        # the same expressions built anew: only their two spine applications
+        # on each side are new lambda nodes
+        lhs, rhs = capp(Prim("B"), p, q), capp(Prim("B"), q, p)
+        seen = []
+        check = terms._check
+        bit = terms._CHECK_BIT[Discipline.BRAIDED]
+
+        def spy(t, d, bit_):
+            if not t.checked & bit:
+                seen.append(t)
+            return check(t, d, bit_)
+
+        monkeypatch.setattr(terms, "_check", spy)
+        comb_equal(lhs, rhs, BCPMI)
+        spine = [u for c in (lhs, rhs) for u in (to_lambda(c, Discipline.BRAIDED),
+                                                  to_lambda(c.fn, Discipline.BRAIDED))]
+        assert len(seen) == 4 and all(any(u is v for v in spine) for u in seen)
+        seen.clear()
+        comb_equal(lhs, rhs, BCPMI)
+        assert seen == []
 
 
 class TestCombEqual:

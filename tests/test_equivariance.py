@@ -101,18 +101,24 @@ def test_mirror_and_forgetful_controls(monkeypatch, sides):
 
 def test_contraction_and_traversal_counts(monkeypatch):
     """A tripwire for the work normalization does: a binder group takes its
-    arguments in one traversal, and the binders contracted match what
-    contracting one binder per traversal contracts."""
-    contract = normalize_module.beta_step_at
-    counts = [0, 0]
+    arguments in one traversal, a saturated proper combinator is contracted
+    by filling in its template, with no traversal, and the binders
+    contracted match what contracting one binder per traversal contracts."""
+    traverse, fill = normalize_module.beta_step_at, normalize_module.fill_template
+    counts = {"traversals": 0, "templates": 0, "binders": 0}
 
-    def counting(fn, args):
-        counts[0] += 1
-        counts[1] += len(args)
-        return contract(fn, args)
+    def counted(key, contract):
+        def counting(fn, args):
+            counts[key] += 1
+            counts["binders"] += len(args)
+            return contract(fn, args)
 
-    monkeypatch.setattr(normalize_module, "beta_step_at", counting)
+        return counting
+
+    monkeypatch.setattr(normalize_module, "beta_step_at", counted("traversals", traverse))
+    monkeypatch.setattr(normalize_module, "fill_template", counted("templates", fill))
     for f, gs, s in checks(150, seed=1):
         assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
-    # one binder per traversal made 24,569 traversals
-    assert counts == [10_299, 24_569]
+    # one traversal per group made 10,299 traversals, and one binder per
+    # traversal 24,569
+    assert counts == {"traversals": 3_727, "templates": 6_572, "binders": 24_569}

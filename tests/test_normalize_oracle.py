@@ -3,7 +3,8 @@
 Both must contract the same redexes: same normal form (`==` and printed),
 same exception type and message, and the same number of contractions.  The
 oracle contracts one binder per `beta_step_at` call; the normalizer's
-`beta_step_at` contracts a binder per argument it is given.
+`beta_step_at` and `fill_template` contract a binder per argument they are
+given.
 """
 
 import itertools
@@ -31,10 +32,13 @@ from operadforge.terms import (
     Var,
     app,
     beta_step_at,
+    bind_context,
     check_discipline,
+    fill_template,
     lams,
     parse,
     pretty,
+    template_arity,
     wires,
 )
 
@@ -51,20 +55,27 @@ def _outcome(call):
 
 def _run(module, call):
     """(outcome, contractions) of call(), counting the binders that
-    module.beta_step_at contracts."""
+    module.beta_step_at contracts, and for the normalizer those that
+    fill_template contracts."""
     count = 0
-    contract = module.beta_step_at
+    names = ("beta_step_at",) if module is oracle else ("beta_step_at", "fill_template")
+    saved = {name: getattr(module, name) for name in names}
 
-    def counting(fn, args):
-        nonlocal count
-        count += 1 if module is oracle else len(args)
-        return contract(fn, args)
+    def counted(contract):
+        def counting(fn, args):
+            nonlocal count
+            count += 1 if module is oracle else len(args)
+            return contract(fn, args)
 
-    module.beta_step_at = counting
+        return counting
+
+    for name, contract in saved.items():
+        setattr(module, name, counted(contract))
     try:
         out = _outcome(call)
     finally:
-        module.beta_step_at = contract
+        for name, contract in saved.items():
+            setattr(module, name, contract)
     return out, count
 
 
@@ -441,6 +452,142 @@ def test_group_drops_a_word_trivial_part_way():
     assert beta_step_at(fn, [Const("a"), Var(5)]) == (reduct, [1, 2])
     with pytest.raises(DisciplineError, match="^duplicated wire under a braid node$"):
         beta_step_at(fn, [Var(4), Var(5)])
+
+
+# -- proper combinators ------------------------------------------------------------
+
+
+@st.composite
+def _trees(draw, leaves):
+    """An application tree over the binders `leaves` (de Bruijn indices
+    under the whole group), each once, in the order given."""
+    if len(leaves) == 1:
+        return Var(leaves[0])
+    k = draw(st.integers(1, len(leaves) - 1))
+    return App(draw(_trees(leaves[:k])), draw(_trees(leaves[k:])))
+
+
+@st.composite
+def proper_combinators(draw):
+    """(g, fn, in_order): a group of 1 to 4 binders over an application tree
+    that uses each once, in any order; in_order when the tree takes them
+    left to right, as the planar and braided disciplines require."""
+    g = draw(st.integers(1, 4))
+    order = draw(st.permutations(list(range(g - 1, -1, -1))))
+    return g, lams(g, draw(_trees(order))), order == sorted(order, reverse=True)
+
+
+# Arguments by width (0 to 3), closed, open, and abstractions with braided
+# bodies; `#` makes each argument's context names its own.  Each comes with
+# the names it presents, in order.
+BRAID_FREE_ARGS = [
+    ("a", ""),
+    (r"(\x. x)", ""),
+    ("p#", "p#"),
+    ("q# r#", "q# r#"),
+    ("s# (t# u#)", "s# t# u#"),
+    (r"(\v. w# v)", "w#"),
+]
+BRAIDED_ARGS = [
+    (r"(\f x y. [{3; 1}] (f y x))", ""),
+    (r"(\v. [{2; 1}] (v w#))", "w#"),
+    (r"(\v. [{3; -1 2}] (m# v n#))", "n# m#"),
+]
+LINEAR_ARGS = [(r"(\v. v w#)", "w#"), (r"(\f x y. f y x)", "")]
+
+
+@st.composite
+def saturated(draw):
+    """(g, fn, t, d, ctx): a proper combinator applied to all of its
+    arguments and sometimes one more, in the braided discipline when its
+    tree takes the binders in order and in the linear one otherwise, with
+    the context the arguments' names make."""
+    g, fn, in_order = draw(proper_combinators())
+    pool = BRAID_FREE_ARGS + (BRAIDED_ARGS if in_order else LINEAR_ARGS)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=g, max_size=g + 1))
+    args = [parse(src.replace("#", str(i))) for i, (src, _) in enumerate(picks)]
+    names = " ".join(ws.replace("#", str(i)) for i, (_, ws) in enumerate(picks)).split()
+    d = BR if in_order else L
+    return g, fn, app(fn, *args), d, Context(tuple(names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(saturated())
+def test_template_matches_traversal_and_oracle(case):
+    g, fn, t, d, ctx = case
+    assert check_discipline(t, d, ctx), pretty(t)
+    assert template_arity(fn) == g
+    # the canonical arguments, open ones with their context variables bound
+    spine = canon_braids(bind_context(t, ctx))
+    args = []
+    while isinstance(spine, App):
+        args.append(spine.arg)
+        spine = spine.fn
+    args = args[::-1][:g]
+    assert all(type(a) is not BraidNode for a in args)
+    reduct, uses = beta_step_at(spine, args)
+    assert uses == [1] * g
+    filled = fill_template(spine, args)
+    assert filled == reduct and filled.canon
+    assert assert_same(t, d, ctx=ctx)[0] == "ok"
+
+
+NO_TEMPLATE = {
+    "binder twice": r"\x y. x y y",
+    "binder twice, one unused": r"\x y. x x",
+    "binder unused": r"\f x. f",
+    "braid node": r"\f x y. [{3; 1}] (f y x)",
+    "abstraction": r"\f x. f (\y. x y)",
+    "constant": r"\f. f c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TEMPLATE))
+def test_no_template_takes_the_traversal(name, monkeypatch):
+    fn = parse(NO_TEMPLATE[name])
+    assert template_arity(fn) == 0
+    g = 3 if name == "braid node" else 2
+    t = app(fn, *(Const(f"k{i}") for i in range(g)))
+    _assert_path(t, CA if name.startswith("binder") else BR, monkeypatch, 0)
+
+
+def test_outer_free_variable_takes_the_traversal(monkeypatch):
+    # a tree over binders and a variable z bound outside: no template
+    for t in (Lam(Var(1)), lams(2, App(Var(1), Var(2))), lams(2, App(Var(2), Var(0)))):
+        assert template_arity(t) == 0
+    # \y. y z inside \z
+    inner = Lam(App(Var(0), Var(1)))
+    assert template_arity(inner) == 0
+    t = Lam(App(inner, Const("k")))
+    assert template_arity(t) == 0
+    _assert_path(t, L, monkeypatch, 0)
+
+
+def test_partial_group_takes_the_traversal(monkeypatch):
+    # B with two of its three arguments, then with all three
+    b = comb.to_lambda(comb.B, P)
+    assert template_arity(b) == 3
+    _assert_path(parse(r"\z. (\f x y. f (x y)) k m z"), P, monkeypatch, 1)
+    _assert_path(app(b, Const("k"), Const("m")), P, monkeypatch, 0)
+
+
+def _assert_path(t, d, monkeypatch, templates):
+    """Normalize t as the oracle does, filling in `templates` templates and
+    contracting the rest by traversal."""
+    calls = {"fill_template": 0, "beta_step_at": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            contract = getattr(normalize_module, name)
+
+            def spy(fn, args, name=name, contract=contract):
+                calls[name] += 1
+                return contract(fn, args)
+
+            m.setattr(normalize_module, name, spy)
+        got = normalize(t, d)
+    assert calls["fill_template"] == templates and calls["beta_step_at"] >= 1 - templates
+    want = oracle.normalize(t, d)
+    assert got == want and pretty(got) == pretty(want)
 
 
 # -- equality of normal forms ------------------------------------------------------
