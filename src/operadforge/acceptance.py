@@ -29,6 +29,8 @@ from .comb import (
     BIBULLET,
     Bullet,
     CApp,
+    ConstRef,
+    CTerm,
     Prim,
     axiom_suite,
     capp,
@@ -39,7 +41,7 @@ from .comb import (
     sample_closed,
 )
 from .normalize import DEFAULT_FUEL, Verdict, lam_equal, normalize
-from .terms import App, Discipline, Lam, Var, parse
+from .terms import App, Discipline, DisciplineError, Lam, Var, parse
 
 
 @dataclass
@@ -210,26 +212,6 @@ def criterion_7(samples: int, seed: int, fuel: int) -> Result:
 
 # -- criterion 8: the three-way arity equivalence --------------------------------------
 
-_LB = terms.parse(r"\f x y. f (x y)")
-
-
-def _compose_l(*ts):
-    out = ts[-1]
-    for t in reversed(ts[:-1]):
-        out = terms.app(_LB, t, out)
-    return out
-
-
-def _bullet_l(t):
-    return Lam(App(Var(0), terms.shift(t, 1)))
-
-
-def _bpow_l(k: int):
-    if k == 0:
-        return terms.parse(r"\x. x")
-    return _compose_l(*([_LB] * k))
-
-
 def _head_form_arity_m1(nf, m: int) -> bool:
     """Witness check against the head form with one output.
 
@@ -281,23 +263,40 @@ def _gen_closed_planar(rng: random.Random, max_size: int) -> terms.LTerm:
 
     while True:
         t = parse(go([], rng.randint(3, 6)))
-        if t.size <= max_size and terms.check_discipline(t, Discipline.PLANAR).ok:
+        if t.size <= max_size:
+            try:
+                terms.check_discipline(t, Discipline.PLANAR)
+            except DisciplineError:
+                continue
             return t
 
 
+def _holds(equation: tuple[CTerm, CTerm], M: terms.LTerm) -> bool:
+    """Whether an equation of the constant M holds, in the planar discipline,
+    with the closed lambda term M in its place."""
+    lhs, rhs = (
+        terms.replace_consts(
+            comb.to_lambda(c, Discipline.PLANAR),
+            lambda name, depth: M if name == "M" else None,
+        )
+        for c in equation
+    )
+    return lam_equal(lhs, rhs, Discipline.PLANAR) is Verdict.EQUAL
+
+
 def criterion_8(samples: int, seed: int, fuel: int) -> Result:
+    """For closed planar terms, the head form of the normal form shows arity
+    m -> 1 exactly when `operad`'s membership equation at m and its arity
+    equation m -> 1 hold."""
     rng = random.Random(seed)
     count = 200
     for idx in range(count):
         M = _gen_closed_planar(rng, 25)
-        nf = normalize(M, Discipline.PLANAR, check=False)
+        nf = normalize(M, Discipline.PLANAR)
         for m in range(0, 4):
             c1 = _head_form_arity_m1(nf, m)
-            lhs2 = _compose_l(_bullet_l(App(M, terms.parse(r"\x. x"))), _bpow_l(m))
-            c2 = lam_equal(lhs2, M, Discipline.PLANAR) is Verdict.EQUAL
-            lhs3 = _compose_l(_bullet_l(M), _bpow_l(m + 1))
-            rhs3 = _compose_l(App(_LB, M), _LB)
-            c3 = lam_equal(lhs3, rhs3, Discipline.PLANAR) is Verdict.EQUAL
+            c2 = _holds(operad.membership_lhs_rhs(ConstRef("M"), m), M)
+            c3 = _holds(operad.arity_lhs_rhs(ConstRef("M"), m, 1), M)
             if not (c1 == c2 == c3):
                 return Result(
                     "arity equivalence",

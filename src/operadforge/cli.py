@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import acceptance, braids, comb, operad, terms
 from .normalize import DEFAULT_FUEL, FuelExhausted, Verdict, lam_equal, normalize
@@ -25,18 +25,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RunConfig:
-    fuel: int = DEFAULT_FUEL
-    samples: int = 32
-    seed: int = 0
-    json: bool = False
-
-    def __post_init__(self):
-        if self.fuel < 1 or self.samples < 1:
-            raise CliError("fuel and samples must be at least 1")
 
 
 def _default_fuel() -> int:
@@ -79,20 +67,13 @@ def _parse_lambda(text: str, d: Discipline) -> terms.LTerm:
     """Parse a lambda term, resolving free identifiers that name combinator
     primitives to their lambda images in the discipline; a primitive without
     one there is an error."""
-    t = terms.parse(text)
 
-    def resolve(u: terms.LTerm) -> terms.LTerm:
-        if isinstance(u, terms.Const) and u.name in comb.PRIM_NAMES:
-            return comb.to_lambda(comb.Prim(u.name), d)
-        if isinstance(u, terms.Lam):
-            return terms.Lam(resolve(u.body))
-        if isinstance(u, terms.App):
-            return terms.App(resolve(u.fn), resolve(u.arg))
-        if isinstance(u, terms.BraidNode):
-            return terms.BraidNode(u.braid, resolve(u.body))
-        return u
+    def image(name: str, depth: int) -> terms.LTerm | None:
+        if name in comb.PRIM_NAMES:
+            return comb.to_lambda(comb.Prim(name), d)
+        return None
 
-    return resolve(t)
+    return terms.replace_consts(terms.parse(text), image)
 
 
 def _verdict_exit(v: Verdict) -> int:
@@ -102,14 +83,13 @@ def _verdict_exit(v: Verdict) -> int:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_norm(args, cfg: RunConfig) -> int:
+def cmd_norm(args) -> int:
     d = _discipline(args.discipline)
     t = _parse_lambda(_read_input(args.term), d)
-    check = terms.check_discipline(t, d)
-    if not check.ok:
-        raise CliError(f"discipline error: {check.message}")
     try:
-        nf = normalize(t, d, fuel=cfg.fuel, check=False)
+        nf = normalize(t, d, fuel=args.fuel)
+    except DisciplineError as e:
+        raise CliError(f"discipline error: {e}")
     except FuelExhausted as e:
         print(f"FuelExhausted: {e}", file=sys.stderr)
         return 2
@@ -120,7 +100,7 @@ def cmd_norm(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eq(args, cfg: RunConfig) -> int:
+def cmd_eq(args) -> int:
     if (args.discipline is None) == (args.signature is None):
         raise CliError("eq needs exactly one of -d/--discipline or -s/--signature")
     if args.signature is not None:
@@ -128,7 +108,7 @@ def cmd_eq(args, cfg: RunConfig) -> int:
         try:
             c1 = comb.parse_cterm(_read_input(args.lhs))
             c2 = comb.parse_cterm(_read_input(args.rhs))
-            v = comb.comb_equal(c1, c2, sig, fuel=cfg.fuel)
+            v = comb.comb_equal(c1, c2, sig, fuel=args.fuel)
         except comb.UnsupportedTrace as e:
             print(f"Unknown: {e}", file=sys.stderr)
             return 3
@@ -136,7 +116,7 @@ def cmd_eq(args, cfg: RunConfig) -> int:
         d = _discipline(args.discipline)
         t1 = _parse_lambda(_read_input(args.lhs), d)
         t2 = _parse_lambda(_read_input(args.rhs), d)
-        v = lam_equal(t1, t2, d, fuel=cfg.fuel)
+        v = lam_equal(t1, t2, d, fuel=args.fuel)
     print(v)
     return _verdict_exit(v)
 
@@ -149,22 +129,22 @@ def _cterm_to_poly(t: comb.CTerm) -> comb.PolyExpr:
     return comb.Coef(t)
 
 
-def cmd_abstract(args, cfg: RunConfig) -> int:
+def cmd_abstract(args) -> int:
     sig = _signature(args.signature)
     poly = _cterm_to_poly(comb.parse_cterm(_read_input(args.poly)))
     out = comb.bracket_abstract(poly, sig)
     print(comb.format_cterm(out))
     if args.certify:
-        v = comb.beta_check_abstraction(poly, sig, samples=min(cfg.samples, 8), seed=cfg.seed, fuel=cfg.fuel)
+        v = comb.beta_check_abstraction(poly, sig, samples=min(args.samples, 8), seed=args.seed, fuel=args.fuel)
         print(f"certified: {v}", file=sys.stderr)
         return _verdict_exit(v)
     return 0
 
 
-def cmd_arity(args, cfg: RunConfig) -> int:
+def cmd_arity(args) -> int:
     sig = _signature(args.signature)
     t = comb.parse_cterm(_read_input(args.term))
-    found = operad.infer_arity(t, bound=args.bound, sig=sig, fuel=cfg.fuel)
+    found = operad.infer_arity(t, bound=args.bound, sig=sig, fuel=args.fuel)
     if found is None:
         print(f"no arity within bound {args.bound}")
         return 0
@@ -172,31 +152,31 @@ def cmd_arity(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_member(args, cfg: RunConfig) -> int:
+def cmd_member(args) -> int:
     sig = _signature(args.signature)
     t = comb.parse_cterm(_read_input(args.term))
-    v = operad.in_internal_operad(t, args.arity, sig, fuel=cfg.fuel)
+    v = operad.in_internal_operad(t, args.arity, sig, fuel=args.fuel)
     print(v)
     return _verdict_exit(v)
 
 
-def cmd_compose(args, cfg: RunConfig) -> int:
+def cmd_compose(args) -> int:
     sig = _signature(args.signature)
     g_term = comb.parse_cterm(args.g)
     n = len(args.fs)
-    g = operad.operad_elem(g_term, n, sig, fuel=cfg.fuel)
+    g = operad.operad_elem(g_term, n, sig, fuel=args.fuel)
     fs = []
     for src in args.fs:
         t = comb.parse_cterm(src)
         found = None
         for m in range(args.bound + 1):
-            if operad.in_internal_operad(t, m, sig, fuel=cfg.fuel) is Verdict.EQUAL:
+            if operad.in_internal_operad(t, m, sig, fuel=args.fuel) is Verdict.EQUAL:
                 found = m
                 break
         if found is None:
             raise CliError(f"{src!r} is not an operad element within arity bound {args.bound}")
         fs.append(operad.OperadElem(t, found))
-    out = operad.operad_compose(g, fs, sig, verify=args.verify, fuel=cfg.fuel)
+    out = operad.operad_compose(g, fs, sig, verify=args.verify, fuel=args.fuel)
     print(comb.format_cterm(out.elem))
     print(f"arity: {out.m} -> 1", file=sys.stderr)
     return 0
@@ -213,7 +193,7 @@ _BRAID_ARGC = {
 }
 
 
-def cmd_braid(args, cfg: RunConfig) -> int:
+def cmd_braid(args) -> int:
     op = args.op
     fewest, most = _BRAID_ARGC[op]
     got = len(args.args)
@@ -247,10 +227,10 @@ def cmd_braid(args, cfg: RunConfig) -> int:
     raise CliError(f"unknown braid operation {op!r}")
 
 
-def cmd_axioms(args, cfg: RunConfig) -> int:
+def cmd_axioms(args) -> int:
     sig = _signature(args.signature)
-    reports = comb.axiom_suite(sig, samples=cfg.samples, seed=cfg.seed, fuel=cfg.fuel)
-    if cfg.json:
+    reports = comb.axiom_suite(sig, samples=args.samples, seed=args.seed, fuel=args.fuel)
+    if args.json:
         print(json.dumps([asdict(r) for r in reports], indent=2))
     else:
         for r in reports:
@@ -258,7 +238,7 @@ def cmd_axioms(args, cfg: RunConfig) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def cmd_trace(args, cfg: RunConfig) -> int:
+def cmd_trace(args) -> int:
     sig = comb.Signature("BCpmI", trace_extension=True)
     if args.what == "trefoil":
         cert = operad.trefoil(sig)
@@ -273,9 +253,9 @@ def cmd_trace(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_suite(args, cfg: RunConfig) -> int:
-    results = acceptance.run_all(cfg.samples, cfg.seed, cfg.fuel, progress=not cfg.json)
-    if cfg.json:
+def cmd_suite(args) -> int:
+    results = acceptance.run_all(args.samples, args.seed, args.fuel, progress=not args.json)
+    if args.json:
         print(json.dumps([asdict(r) for r in sorted(results, key=lambda r: r.name)], indent=2))
     return 0 if all(r.ok for r in results) else 1
 
@@ -361,13 +341,11 @@ def main(argv: list[str] | None = None) -> int:
         # (code 2, which here means fuel exhaustion): a usage error is 1
         return 1 if e.code else 0
     try:
-        cfg = RunConfig(
-            fuel=args.fuel if args.fuel is not None else _default_fuel(),
-            samples=args.samples,
-            seed=args.seed,
-            json=args.json,
-        )
-        return args.fn(args, cfg)
+        if args.fuel is None:
+            args.fuel = _default_fuel()
+        if args.fuel < 1 or args.samples < 1:
+            raise CliError("fuel and samples must be at least 1")
+        return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

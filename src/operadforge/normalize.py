@@ -4,18 +4,20 @@ Beta normalization is one normal-order pass: contract head redexes until the
 head is a variable, a constant or an abstraction with nothing applied, then
 normalize the arguments left to right, and the bodies of abstractions.  The
 redexes contracted, and their order, are those of leftmost-outermost
-stepping.  For the exactly-once disciplines every contraction strictly
-shrinks the term, so normalization needs no fuel, and a head abstraction's
-binder group is contracted with every argument it can take in one traversal
-of its body (`terms.beta_step_at`), which leaves the term as contracting
-its binders one at a time would.  A proper combinator given all of its
-arguments (a group whose body is a braid-free, abstraction-free application
-tree of its binders, each used once, such as B and I) is contracted by its
-rewrite rule instead: the arguments are filled into the tree, a template
-kept on the abstraction (`terms.fill_template`), which builds the same
-reduct without a traversal.  The cartesian discipline contracts one binder
-at a time, counts its steps against a fuel bound and its size against a
-cap, and reports exhaustion.
+stepping.  The input is checked first, and contraction keeps the
+discipline, so in the exactly-once disciplines every binder the pass meets
+is used once, every contraction strictly shrinks the term, normalization
+needs no fuel, and a head abstraction's binder group is contracted with
+every argument it can take in one traversal of its body
+(`terms.beta_step_at`), which leaves the term as contracting its binders
+one at a time would.  A proper combinator given all of its arguments (a
+group whose body is a braid-free, abstraction-free application tree of its
+binders, each used once, such as B and I) is contracted by its rewrite rule
+instead: the arguments are filled into the tree, a template kept on the
+abstraction (`terms.fill_template`), which builds the same reduct without
+a traversal.  The cartesian discipline contracts one binder at a time,
+counts its steps against a fuel bound and its size against a cap, and
+reports exhaustion.
 
 Braided terms keep their braid nodes in canonical slots: directly under the
 innermost binder of each binder group, or at the root.  Reducts are built
@@ -61,7 +63,6 @@ from .terms import (
     BraidNode,
     Context,
     Discipline,
-    DisciplineError,
     LTerm,
     Lam,
     TermError,
@@ -190,10 +191,10 @@ class _NormalOrder:
     arguments it can in one `beta_step_at`, whose reduct is that of the
     single contractions; it comes out canonical and the braid it sheds is
     lifted into its slot (`_Slot.shed`), which leaves the term exactly as
-    canonicalizing it whole after each step would.  The occurrence counts
-    `beta_step_at` returns give each contraction's shrink check.  A
-    saturated proper combinator is filled in (`fill_template`) instead,
-    which gives the same reduct.
+    canonicalizing it whole after each step would.  A saturated proper
+    combinator is filled in (`fill_template`) instead, which gives the same
+    reduct.  The pass expects a checked term, in which each exactly-once
+    binder occurs once; `_contract` asserts it of every group it contracts.
     With `fuel` set (cartesian) each step contracts one binder, the steps
     are counted and the whole term's size is kept up to date against
     SIZE_CAP.  Eta contractions are not counted against it: they shrink
@@ -262,10 +263,10 @@ class _NormalOrder:
         stack, and pop those arguments.  Exactly-once: a proper combinator
         given all of its arguments, by its rewrite rule (`fill_template`),
         whose reduct sheds no braid, since no stacked argument is a braid
-        node (the pass's applications are canonical), and passes the shrink
-        check, since each binder is used once; otherwise every binder of
-        fn's group that has an argument, in one `beta_step_at`.  Counting
-        fuel: one binder, since fuel and SIZE_CAP are charged per step."""
+        node (the pass's applications are canonical); otherwise the g >= 1
+        binders of fn's group that have an argument, in one `beta_step_at`,
+        which must find each of them once.  Counting fuel: one binder,
+        since fuel and SIZE_CAP are charged per step."""
         if self.fuel is None:
             g = template_arity(fn)
             if g and g <= len(stack):
@@ -275,34 +276,17 @@ class _NormalOrder:
             g, body = 1, fn.body
             while g < len(stack) and type(body) is Lam:
                 g, body = g + 1, body.body
-            if g > 1:
-                try:
-                    r, uses = beta_step_at(fn, stack[: -g - 1 : -1])
-                except DisciplineError:
-                    uses = ()
-                # each binder used once: each of the g contractions shrinks
-                # the term by three nodes, so the shrink check below holds
-                if uses.count(1) == g:
-                    del stack[-g:]
-                    return slot.shed(r, right)
-                # an ill-disciplined group: its first binder alone, so the
-                # error raised is the one a single contraction raises
-        arg = stack.pop()
-        r, (uses,) = beta_step_at(fn, (arg,))
-        redex = fn.size + arg.size + 1
-        if self.fuel is None:
-            # the size of the reduct before canonicalization, which puts
-            # arg in place of each occurrence of the bound variable
-            raw = fn.body.size + uses * (arg.size - 1)
-            if raw >= redex:
-                raise AssertionError(
-                    f"beta step failed to shrink an exactly-once redex: {redex} -> {raw}"
-                )
+            r, uses = beta_step_at(fn, stack[: -g - 1 : -1])
+            if uses.count(1) != g:
+                raise AssertionError(f"exactly-once binders used {uses} times")
+            del stack[-g:]
             return slot.shed(r, right)
+        arg = stack.pop()
+        r = beta_step_at(fn, (arg,))[0]
         self.steps += 1
         if self.steps > self.fuel:
             raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
-        self.size += r.size - redex
+        self.size += r.size - (fn.size + arg.size + 1)
         if self.size > SIZE_CAP:
             raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {self.steps} steps")
         return r
@@ -334,21 +318,15 @@ def eta_contract(t: Lam) -> LTerm:
 # -- normalization ---------------------------------------------------------------
 
 def normalize(
-    t: LTerm,
-    d: Discipline,
-    fuel: int = DEFAULT_FUEL,
-    ctx: Context = Context(),
-    check: bool = True,
+    t: LTerm, d: Discipline, fuel: int = DEFAULT_FUEL, ctx: Context = Context()
 ) -> LTerm:
-    """Beta-normal, maximally eta-contracted form of t.
+    """Beta-normal, maximally eta-contracted form of t, which must be
+    well-formed under d in ctx (else DisciplineError).
 
     Exactly-once disciplines ignore fuel (termination is structural);
     cartesian reduction is normal-order and raises FuelExhausted.
     """
-    if check:
-        r = check_discipline(t, d, ctx)
-        if not r.ok:
-            raise DisciplineError(r.message)
+    check_discipline(t, d, ctx)
     t = bind_context(t, ctx)
     if d.exactly_once:
         return _NormalOrder(None, 0).scope(canon_braids(t))
@@ -357,21 +335,16 @@ def normalize(
 
 # -- the equality oracle -------------------------------------------------------------
 
-def lam_equal(
-    t1: LTerm,
-    t2: LTerm,
-    d: Discipline,
-    fuel: int = DEFAULT_FUEL,
-    ctx: Context = Context(),
-) -> Verdict:
-    """Decide t1 = t2 in the beta-eta theory of discipline d."""
-    for t in (t1, t2):
-        r = check_discipline(t, d, ctx)
-        if not r.ok:
-            raise DisciplineError(r.message)
+def lam_equal(t1: LTerm, t2: LTerm, d: Discipline, fuel: int = DEFAULT_FUEL) -> Verdict:
+    """Decide t1 = t2 in the beta-eta theory of discipline d.  Both sides
+    are checked before either is normalized, so an ill-formed side raises
+    DisciplineError even when the other runs out of fuel; `normalize`'s own
+    check then finds each side's cached pass."""
+    check_discipline(t1, d)
+    check_discipline(t2, d)
     try:
-        n1 = normalize(t1, d, fuel=fuel, ctx=ctx, check=False)
-        n2 = normalize(t2, d, fuel=fuel, ctx=ctx, check=False)
+        n1 = normalize(t1, d, fuel=fuel)
+        n2 = normalize(t2, d, fuel=fuel)
     except FuelExhausted:
         return Verdict.FUEL_EXHAUSTED
     return canonical_equal(n1, n2)

@@ -81,6 +81,8 @@ class OperadElem:
 # -- arity predicates ---------------------------------------------------------
 
 def arity_lhs_rhs(a: CTerm, m: int, n: int) -> tuple[CTerm, CTerm]:
+    if m < 0 or n < 0:
+        raise ArityError(f"negative arity {m} -> {n}")
     lhs = compose(Bullet(a), b_power_element(m + 1))
     rhs = compose(CApp(B, a), b_power_element(n))
     return lhs, rhs
@@ -118,6 +120,8 @@ def infer_arity(
 
 
 def membership_lhs_rhs(a: CTerm, m: int) -> tuple[CTerm, CTerm]:
+    if m < 0:
+        raise ArityError(f"negative arity {m}")
     return a, compose(Bullet(CApp(a, I)), b_power_element(m))
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .braids import (
     BraidWord,
@@ -268,26 +268,38 @@ def bind_context(t: LTerm, ctx: Context) -> LTerm:
     Position i in ctx (0-based) becomes de Bruijn index len(ctx)-1-i at the
     root, matching a judgment whose last context entry binds innermost.
     """
-    n = len(ctx)
-    if n == 0:
+    if not ctx.names:
         return t
-    pos = {name: i for i, name in enumerate(ctx.names)}
+    index = {name: len(ctx) - 1 - i for i, name in enumerate(ctx.names)}
 
-    def go(u: LTerm, depth: int) -> LTerm:
-        if isinstance(u, Const):
-            i = pos.get(u.name)
-            return u if i is None else Var(depth + (n - 1 - i))
-        if isinstance(u, Var):
-            return u
-        if isinstance(u, Lam):
-            return Lam(go(u.body, depth + 1))
-        if isinstance(u, App):
-            return App(go(u.fn, depth), go(u.arg, depth))
-        if isinstance(u, BraidNode):
-            return BraidNode(u.braid, go(u.body, depth))
-        raise TermError(f"unknown node {u!r}")
+    def image(name: str, depth: int) -> Optional[LTerm]:
+        i = index.get(name)
+        return None if i is None else Var(depth + i)
 
-    return go(t, 0)
+    return replace_consts(t, image)
+
+
+def replace_consts(
+    t: LTerm, image: Callable[[str, int], Optional[LTerm]], depth: int = 0
+) -> LTerm:
+    """t with each constant c replaced by image(c.name, binders above c),
+    where that is not None.  Constants are met in preorder, and a node with
+    nothing replaced under it is kept."""
+    if isinstance(t, Const):
+        new = image(t.name, depth)
+        return t if new is None else new
+    if isinstance(t, Lam):
+        body = replace_consts(t.body, image, depth + 1)
+        return t if body is t.body else Lam(body)
+    if isinstance(t, App):
+        fn, arg = replace_consts(t.fn, image, depth), replace_consts(t.arg, image, depth)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if isinstance(t, BraidNode):
+        body = replace_consts(t.body, image, depth)
+        return t if body is t.body else BraidNode(t.braid, body)
+    if isinstance(t, Var):
+        return t
+    raise TermError(f"unknown node {t!r}")
 
 
 # -- canonical braid placement -------------------------------------------------
@@ -361,14 +373,15 @@ def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
     Each xi becomes ai, shifted once to its depth in M, and M's other free
     variables move down by g.  Under a braid node the strand carrying xi is
     replaced by as many parallel strands as ai has wires (width 0 deletes
-    it) by cabling the word, once per binder the node carries, outermost
-    first; a word that a cabling leaves trivial is dropped there, so later
-    binders neither cable nor check it.  Every node rebuilt goes through
-    `canon_app` or `canon_wrap`, so when fn and the args are canonical the
-    reduct is canonical too.  It is the reduct of g single contractions, one
-    binder each, when no argument is a braid node (no argument of a
-    canonical application is): then no braid is lifted out of an argument,
-    and cabling the other binders' strands only renumbers a letter.
+    it) by cabling the word, once per binder the node carries whose argument
+    is not one wire wide, outermost first; a word that a cabling leaves
+    trivial is dropped there, so later binders neither cable nor check it.
+    Every node rebuilt goes through `canon_app` or `canon_wrap`, so when fn
+    and the args are canonical the reduct is canonical too.  It is the
+    reduct of g single contractions, one binder each, when no argument is a
+    braid node (no argument of a canonical application is): then no braid
+    is lifted out of an argument, and cabling the other binders' strands
+    only renumbers a letter.
     """
     g = len(args)
     body = fn
@@ -405,9 +418,10 @@ def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
                     raise DisciplineError("duplicated wire under a braid node")
                 p = outer.index(v)
                 blocks[p] = len(wires(args[j]))
-                widths = [1] * braid.strands
-                widths[sum(blocks[p + 1 :])] = blocks[p]
-                braid = cable(braid, widths)
+                if blocks[p] != 1:  # cabling a strand to width 1 keeps the word
+                    widths = [1] * braid.strands
+                    widths[sum(blocks[p + 1 :])] = blocks[p]
+                    braid = cable(braid, widths)
             return canon_wrap(braid, go(t.body, depth))
         raise TermError(f"unknown node {t!r}")
 
@@ -476,27 +490,13 @@ def _fill(tree, args: Sequence[LTerm]) -> LTerm:
 
 # -- discipline checking ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    message: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(msg: str) -> CheckResult:
-    return CheckResult(False, msg)
-
-
-_PASS = CheckResult(True)
-
 # The bit a discipline's pass sets in LTerm.checked.
 _CHECK_BIT = {d: 1 << k for k, d in enumerate(Discipline)}
 
 
-def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> CheckResult:
-    """Well-formedness of t under discipline d in the given context."""
+def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> None:
+    """Raise DisciplineError, saying why, unless t is well-formed under
+    discipline d in the given context."""
     t = bind_context(t, ctx)
     n = len(ctx)
 
@@ -505,21 +505,19 @@ def check_discipline(t: LTerm, d: Discipline, ctx: Context = Context()) -> Check
     except TermError as e:
         why = str(e)
     if why is not None:
-        return _fail(why)
+        raise DisciplineError(why)
 
     if d is Discipline.CARTESIAN:
         if t.max_free > n:
-            return _fail(f"unbound index {t.max_free - 1} for context of size {n}")
-        return _PASS
+            raise DisciplineError(f"unbound index {t.max_free - 1} for context of size {n}")
+        return
 
     ws = wires(t)
     if d is Discipline.LINEAR:
         if sorted(ws) != list(range(n)):
-            return _fail(f"context variables not used exactly once: wires {list(ws)}")
-    else:  # planar / braided: wire order must equal context order
-        if list(ws) != list(range(n - 1, -1, -1)):
-            return _fail(f"wires {list(ws)} do not match context order")
-    return _PASS
+            raise DisciplineError(f"context variables not used exactly once: wires {list(ws)}")
+    elif list(ws) != list(range(n - 1, -1, -1)):  # planar / braided: context order
+        raise DisciplineError(f"wires {list(ws)} do not match context order")
 
 
 def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:

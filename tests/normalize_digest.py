@@ -9,7 +9,7 @@ prints.  The corpus is every distinct input that `normalize` receives from
 * the four signatures' axiom suites at 6 samples, seed 0;
 * the acceptance battery, `run_all(4, 0, 2000)`.
 
-An input is (term, discipline, fuel, context, check).  The script prints
+An input is (term, discipline, fuel, context).  The script prints
 the number of distinct inputs and a SHA-256 over the sorted lines
 "input <tab> outcome", the outcome being the printed normal form or the
 exception's type and text.
@@ -52,10 +52,12 @@ def _record(outcomes: dict):
     distinct input's outcome in outcomes; returns a function that undoes it."""
     original = normalize_module.normalize
 
-    def recording(t, d, fuel=normalize_module.DEFAULT_FUEL, ctx=Context(), check=True):
-        key = (t, d, fuel, ctx, check)
+    # other keywords pass through unrecorded, so that the script also runs
+    # on a `normalize` that takes more of them
+    def recording(t, d, fuel=normalize_module.DEFAULT_FUEL, ctx=Context(), **options):
+        key = (t, d, fuel, ctx)
         try:
-            out = original(t, d, fuel=fuel, ctx=ctx, check=check)
+            out = original(t, d, fuel=fuel, ctx=ctx, **options)
         except Exception as e:  # the outcome is recorded, then re-raised
             outcomes.setdefault(key, f"{type(e).__name__}: {e}")
             raise
@@ -95,8 +97,8 @@ def collect() -> dict:
 
 def digest(outcomes: dict) -> str:
     lines = sorted(
-        f"{pretty(t)} | {d.value} | {fuel} | {' '.join(ctx.names)} | {check}\t{out}"
-        for (t, d, fuel, ctx, check), out in outcomes.items()
+        f"{pretty(t)} | {d.value} | {fuel} | {' '.join(ctx.names)}\t{out}"
+        for (t, d, fuel, ctx), out in outcomes.items()
     )
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -187,13 +187,9 @@ def normalize(
     fuel: int = DEFAULT_FUEL,
     ctx: Context = Context(),
     innermost: bool = False,
-    check: bool = True,
 ) -> LTerm:
     """Beta-normal, maximally eta-contracted form of t, by stepping."""
-    if check:
-        r = check_discipline(t, d, ctx)
-        if not r.ok:
-            raise DisciplineError(r.message)
+    check_discipline(t, d, ctx)
     t = bind_context(t, ctx)
     if d.exactly_once:
         t = _beta_normalize_once_checked(t, innermost)

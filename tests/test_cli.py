@@ -27,6 +27,7 @@ class TestNorm:
     def test_discipline_error_exit_1(self, capsys):
         code, _, err = run(capsys, "norm", "-d", "linear", r"\f x. f x x")
         assert code == 1
+        assert err == "error: discipline error: bound variable used 2 times under its binder\n"
 
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "norm", "-d", "planar", r"(\x. x")
@@ -79,6 +80,15 @@ class TestEq:
         )
         assert code == 2 and out.strip() == "FuelExhausted"
 
+    @pytest.mark.parametrize("omega_first", [True, False])
+    def test_discipline_error_wins_over_fuel(self, capsys, omega_first):
+        sides = [r"(\x. x x) (\x. x x)", "[{1;}] a"]
+        if not omega_first:
+            sides.reverse()
+        code, out, err = run(capsys, "--fuel", "30", "eq", "-d", "cartesian", *sides)
+        assert code == 1 and out == ""
+        assert err == "error: braid node not allowed in cartesian discipline\n"
+
     def test_trace_equality_exit_3(self, capsys):
         code, _, err = run(capsys, "eq", "-s", "bcpmi", "Tr (Tr (C+ o C+ o C+))", "I")
         assert code == 3
@@ -101,6 +111,11 @@ class TestArityMemberCompose:
     def test_member(self, capsys):
         code, out, _ = run(capsys, "member", "-s", "bcpmi", "C+ o B", "2")
         assert code == 0 and out.strip() == "Equal"
+
+    def test_member_negative_arity_exit_1(self, capsys):
+        code, out, err = run(capsys, "member", "-s", "bci", "I", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: negative arity -1\n"
 
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "compose", "-s", "bibullet", "B", "a*", "b*")

@@ -48,27 +48,30 @@ class TestNormalize:
         with pytest.raises(FuelExhausted):
             nf(r"(\x. x x) (\x. x x)", CA, fuel=100)
 
-    def test_shrink_check_counts_the_raw_reduct(self):
-        # x occurs twice, so this ill-disciplined redex of 19 nodes does not
-        # shrink; the canonical reduct has 17, because cabling x's strand
-        # out of both braids leaves them trivial and they are dropped
+    @staticmethod
+    def _unchecked_pass(t):
+        """The exactly-once pass on t, which `normalize` would have rejected."""
+        return normalize_module._NormalOrder(None, 0).scope(canon_braids(t))
+
+    def test_pass_asserts_a_single_binder_is_used_once(self):
+        # x occurs twice, each time under a braid that cabling x's strand
+        # out of leaves trivial
         t = parse(r"(\x. g (\w. [{2; 1 1}] (x w)) (\v. [{2; 1 1}] (x v))) (\y. y c)")
-        with pytest.raises(AssertionError, match="exactly-once redex: 19 -> 19$"):
-            normalize(t, BR, check=False)
+        with pytest.raises(AssertionError, match=r"exactly-once binders used \[2\] times$"):
+            self._unchecked_pass(t)
 
-    def test_shrink_check_runs_per_contraction_of_a_group(self):
-        # y occurs twice: the group's second contraction, of 11 nodes after
-        # the first, does not shrink
+    def test_pass_asserts_every_binder_of_a_group_is_used_once(self):
+        # x does not occur and y occurs twice
         t = parse(r"(\x y. g y y) a (\z. z c)")
-        with pytest.raises(AssertionError, match="exactly-once redex: 11 -> 11$"):
-            normalize(t, L, check=False)
+        with pytest.raises(AssertionError, match=r"exactly-once binders used \[0, 2\] times$"):
+            self._unchecked_pass(t)
 
-    def test_group_raises_what_the_first_failing_contraction_raises(self):
-        # x's contraction fails the shrink check, so y's duplicated wire
-        # under the braid node is never reached
+    def test_pass_raises_what_the_group_traversal_raises(self):
+        # the group's one traversal meets y's duplicated wire under the
+        # braid node before the occurrence counts are checked
         t = parse(r"(\x y. g x x (\w. [{3; 1}] (y y w))) (\z. z c) b")
-        with pytest.raises(AssertionError, match="exactly-once redex: 20 -> 20$"):
-            normalize(t, BR, check=False)
+        with pytest.raises(DisciplineError, match="^duplicated wire under a braid node$"):
+            self._unchecked_pass(t)
 
     def test_fuel_ignored_for_exactly_once(self):
         assert nf(f"{B_SRC} {I_SRC}", L, fuel=1) == parse(r"\x. x")
@@ -124,7 +127,7 @@ class TestEtaContract:
         # the braid exchanges the outer two wires only; the bound wire's
         # strand is untouched, so eta fires and the braid shifts down
         t = parse(r"\f x y. [{3; 2}] (x f y)")
-        assert check_discipline(t, BR)
+        check_discipline(t, BR)
         out = normalize(t, BR)
         want = parse(r"\f x. [{2; 1}] (x f)")
         assert canonical_equal(out, want) is Verdict.EQUAL
@@ -143,7 +146,7 @@ class TestEtaContract:
 
     def test_blocked_under_entangled_braid(self):
         t = parse(r"\f x. [{2; 1 1}] (f x)")
-        assert check_discipline(t, BR)
+        check_discipline(t, BR)
         n = normalize(t, BR)
         assert isinstance(n.body.body, BraidNode)  # eta must not fire
 
@@ -275,6 +278,13 @@ class TestCanonicalForm:
 
 
 class TestFuelVerdict:
+    def test_both_sides_ill_formed_raises_the_left_sides_error(self):
+        twice, none = parse(r"\x. x x"), parse(r"\x. a")
+        with pytest.raises(DisciplineError, match="^bound variable used 2 times"):
+            lam_equal(twice, none, L)
+        with pytest.raises(DisciplineError, match="^bound variable used 0 times"):
+            lam_equal(none, twice, L)
+
     def test_lam_equal_fuel_exhausted(self):
         omega = parse(r"(\x. x x) (\x. x x)")
         assert lam_equal(omega, parse(r"\x. x"), CA, fuel=50) is Verdict.FUEL_EXHAUSTED

@@ -94,6 +94,11 @@ class TestHasArity:
         with pytest.raises(UnsupportedTrace):
             has_arity(parse_cterm("Tr I"), 1, 1, TRACED)
 
+    @pytest.mark.parametrize("m,n", [(-1, 0), (0, -1), (-2, -3)])
+    def test_negative_arity_refused(self, m, n):
+        with pytest.raises(ArityError, match=f"^negative arity {m} -> {n}$"):
+            has_arity(I, m, n, BCI)
+
 
 class TestInferArity:
     def test_examples(self):
@@ -122,6 +127,10 @@ class TestMembership:
     def test_gatekeeping(self):
         with pytest.raises(ArityError):
             operad_elem(parse_cterm("C I"), 1, BCI)
+
+    def test_negative_arity_refused(self):
+        with pytest.raises(ArityError, match="^negative arity -1$"):
+            in_internal_operad(I, -1, BCI)
 
 
 class TestOperadStructure:

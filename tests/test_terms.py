@@ -11,6 +11,7 @@ from operadforge.terms import (
     Const,
     Context,
     Discipline,
+    DisciplineError,
     Lam,
     ParseError,
     Var,
@@ -87,7 +88,7 @@ class TestPrint:
 
         for _ in range(25):
             c = sample_closed(BCPMI, rng, max_depth=2)
-            t = normalize(to_lambda(c, BR), BR, check=False)
+            t = normalize(to_lambda(c, BR), BR)
             assert parse(pretty(t)) == t
 
 
@@ -122,30 +123,39 @@ def free_vars(t, ctx=None) -> list:
     return list(wires(t))
 
 
+def rejects(t, d, message, ctx=Context()):
+    """check_discipline raises DisciplineError saying exactly message."""
+    with pytest.raises(DisciplineError) as e:
+        check_discipline(t, d, ctx)
+    assert str(e.value) == message
+
+
 class TestCheckDiscipline:
     def test_spec_table(self):
         flip = parse(r"\x y. y x")
-        assert not check_discipline(flip, P)
-        assert check_discipline(flip, L)
+        rejects(flip, P, "bound variable is not the last use in its body")
+        check_discipline(flip, L)
         b = parse(r"\f x y. f (x y)")
-        assert check_discipline(b, P)
+        check_discipline(b, P)
         dup = parse(r"\f x. f x x")
-        assert not check_discipline(dup, L)
-        assert check_discipline(dup, CA)
+        rejects(dup, L, "bound variable used 2 times under its binder")
+        check_discipline(dup, CA)
 
     def test_braided_requires_explicit_braids(self):
-        assert not check_discipline(parse(r"\f x y. f y x"), BR)
-        assert check_discipline(parse(r"\f x y. [{3; 1}] (f y x)"), BR)
+        rejects(
+            parse(r"\f x y. f y x"), BR, "abstraction does not bind the last wire (missing braid?)"
+        )
+        check_discipline(parse(r"\f x y. [{3; 1}] (f y x)"), BR)
 
     def test_braid_nodes_rejected_elsewhere(self):
         t = parse(r"\f x y. [{3; 1}] (f y x)")
         for d in (P, L, CA):
-            assert not check_discipline(t, d)
+            rejects(t, d, f"braid node not allowed in {d.value} discipline")
 
     def test_braid_strand_count_validated(self):
         t = Lam(Lam(BraidNode(parse_braid("{3; 1}"), App(Var(0), Var(1)))))
-        r = check_discipline(t, BR)
-        assert not r.ok and "strands" in r.message
+        with pytest.raises(DisciplineError, match="strands"):
+            check_discipline(t, BR)
 
     def test_implication_chain_on_braid_free_terms(self, rng):
         # planar implies braided-with-trivial-braids implies linear implies
@@ -154,20 +164,24 @@ class TestCheckDiscipline:
 
         for _ in range(40):
             t = _gen_closed_planar(rng, 30)
-            assert check_discipline(t, P)
-            assert check_discipline(t, BR)
-            assert check_discipline(t, L)
-            assert check_discipline(t, CA)
+            for d in (P, BR, L, CA):
+                check_discipline(t, d)
         linear_only = parse(r"\x y. y x")
-        assert check_discipline(linear_only, L) and not check_discipline(linear_only, BR)
-        assert check_discipline(linear_only, CA)
+        check_discipline(linear_only, L)
+        rejects(linear_only, BR, "abstraction does not bind the last wire (missing braid?)")
+        check_discipline(linear_only, CA)
 
     def test_contexts(self):
         t = parse("f (x y)")
-        assert check_discipline(t, P, Context(("f", "x", "y")))
-        assert not check_discipline(t, P, Context(("x", "f", "y")))
-        assert check_discipline(parse("x"), CA, Context(("x", "y")))
-        assert not check_discipline(parse("x"), L, Context(("x", "y")))
+        check_discipline(t, P, Context(("f", "x", "y")))
+        rejects(t, P, "wires [1, 2, 0] do not match context order", Context(("x", "f", "y")))
+        check_discipline(parse("x"), CA, Context(("x", "y")))
+        rejects(
+            parse("x"),
+            L,
+            "context variables not used exactly once: wires [1]",
+            Context(("x", "y")),
+        )
 
 
 class TestCheckCache:
@@ -190,28 +204,26 @@ class TestCheckCache:
 
     def test_shared_primitive_images_checked_once(self, monkeypatch):
         first = comb.parse_cterm("B (C+ I) (C- B)")
-        assert check_discipline(comb.to_lambda(first, BR), BR)
+        check_discipline(comb.to_lambda(first, BR), BR)
         # the same primitives in another expression: only its three
         # application nodes are new
         t = comb.to_lambda(comb.parse_cterm("C- B (I C+)"), BR)
         spine = [t, t.fn, t.arg]
         seen = self._visits(monkeypatch, BR)
-        assert check_discipline(t, BR)
+        check_discipline(t, BR)
         assert len(seen) == 3 and all(any(u is v for v in spine) for u in seen)
         seen.clear()
-        assert check_discipline(t, BR)
+        check_discipline(t, BR)
         assert seen == []
 
     def test_pass_is_per_discipline(self):
         braided = parse(r"\f x y. [{3; 1}] (f y x)")
-        assert check_discipline(braided, BR)
+        check_discipline(braided, BR)
         for d in (P, L):
-            r = check_discipline(braided, d)
-            assert not r.ok and r.message == f"braid node not allowed in {d.value} discipline"
+            rejects(braided, d, f"braid node not allowed in {d.value} discipline")
         flip = parse(r"\x y. y x")
-        assert check_discipline(flip, L)
-        r = check_discipline(flip, P)
-        assert not r.ok and r.message == "bound variable is not the last use in its body"
+        check_discipline(flip, L)
+        rejects(flip, P, "bound variable is not the last use in its body")
 
     def test_failure_leaves_no_bit(self):
         good = parse(r"\x. x")
@@ -219,8 +231,7 @@ class TestCheckCache:
         t = App(good, bad)
         bit = terms._CHECK_BIT[L]
         for _ in range(2):
-            r = check_discipline(t, L)
-            assert not r.ok and r.message == "bound variable used 2 times under its binder"
+            rejects(t, L, "bound variable used 2 times under its binder")
             assert not t.checked & bit and not bad.checked & bit
         assert good.checked & bit
 
@@ -249,7 +260,7 @@ class TestSubst:
 
     def test_braided_cabling(self):
         t = parse(r"\p q r. [{3; -2 1}] (r p q)")
-        assert check_discipline(t, BR)
+        check_discipline(t, BR)
         body = t.body.body.body
         two_wire = App(Var(5), Var(6))
         out = subst(body, 1, two_wire)
@@ -280,7 +291,7 @@ class TestSubst:
             if not isinstance(fn, Lam):
                 continue
             arg = _gen_closed_planar(rng, 12)
-            assert check_discipline(beta_step_at(fn, [arg])[0], P)
+            check_discipline(beta_step_at(fn, [arg])[0], P)
 
 
 def canonically_equal(t1, t2) -> bool:
