@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import comb, operad, terms
 from .braids import (
@@ -245,30 +246,37 @@ def _head_form_arity_m1(nf, m: int) -> bool:
 
 def _gen_closed_planar(rng: random.Random, max_size: int) -> terms.LTerm:
     counter = itertools.count()
-
-    def go(ctx: list[str], depth: int) -> str:
-        if depth <= 0:
-            if len(ctx) == 0:
-                v = f"a{next(counter)}"
-                return f"(\\{v}. {v})"
-            return " ".join(ctx) if len(ctx) > 1 else ctx[0]
-        roll = rng.random()
-        if len(ctx) == 1 and roll < 0.3:
-            return ctx[0]
-        if roll < 0.55 or len(ctx) == 0:
-            v = f"a{next(counter)}"
-            return f"(\\{v}. {go(ctx + [v], depth - 1)})"
-        k = rng.randint(0, len(ctx))
-        return f"({go(ctx[:k], depth - 1)} {go(ctx[k:], depth - 1)})"
-
     while True:
-        t = parse(go([], rng.randint(3, 6)))
+        t = parse(_planar_source([], rng.randint(3, 6), rng, counter))
         if t.size <= max_size:
             try:
                 terms.check_discipline(t, Discipline.PLANAR)
             except DisciplineError:
                 continue
             return t
+
+
+def _planar_source(
+    ctx: list[str], depth: int, rng: random.Random, counter: Iterator[int]
+) -> str:
+    """Source of a random term over the context names ctx, used in order,
+    at most depth deep; `counter` numbers the fresh binder names."""
+    if depth <= 0:
+        if len(ctx) == 0:
+            v = f"a{next(counter)}"
+            return f"(\\{v}. {v})"
+        return " ".join(ctx) if len(ctx) > 1 else ctx[0]
+    roll = rng.random()
+    if len(ctx) == 1 and roll < 0.3:
+        return ctx[0]
+    if roll < 0.55 or len(ctx) == 0:
+        v = f"a{next(counter)}"
+        return f"(\\{v}. {_planar_source(ctx + [v], depth - 1, rng, counter)})"
+    k = rng.randint(0, len(ctx))
+    return (
+        f"({_planar_source(ctx[:k], depth - 1, rng, counter)} "
+        f"{_planar_source(ctx[k:], depth - 1, rng, counter)})"
+    )
 
 
 def _holds(equation: tuple[CTerm, CTerm], M: terms.LTerm) -> bool:

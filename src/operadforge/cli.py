@@ -162,6 +162,8 @@ def cmd_member(args) -> int:
 
 def cmd_compose(args) -> int:
     sig = _signature(args.signature)
+    if args.bound < 0:
+        raise CliError(f"negative arity bound {args.bound}")
     g_term = comb.parse_cterm(args.g)
     n = len(args.fs)
     g = operad.operad_elem(g_term, n, sig, fuel=args.fuel)

@@ -345,27 +345,29 @@ def parse_cterm(text: str) -> CTerm:
 
 
 def format_cterm(t: CTerm) -> str:
-    def is_compose(u: CTerm) -> bool:
-        return isinstance(u, CApp) and isinstance(u.fn, CApp) and u.fn.fn == B
+    return _format(t, "top")
 
-    def go(u: CTerm, ctx: str) -> str:
-        # ctx: 'top' | 'left-of-o' | 'fn' | 'arg'
-        if is_compose(u):
-            s = f"{go(u.fn.arg, 'left-of-o')} o {go(u.arg, 'top')}"
-            return f"({s})" if ctx in ("fn", "arg", "left-of-o") else s
-        if isinstance(u, CApp):
-            s = f"{go(u.fn, 'fn')} {go(u.arg, 'arg')}"
-            return f"({s})" if ctx == "arg" else s
-        if isinstance(u, Bullet):
-            inner = go(u.arg, "arg")
-            return f"{inner}*"
-        if isinstance(u, Prim):
-            return u.name
-        if isinstance(u, ConstRef):
-            return u.name
-        raise CombError(f"unknown node {u!r}")
 
-    return go(t, "top")
+def _is_compose(u: CTerm) -> bool:
+    return isinstance(u, CApp) and isinstance(u.fn, CApp) and u.fn.fn == B
+
+
+def _format(u: CTerm, ctx: str) -> str:
+    # ctx: 'top' | 'left-of-o' | 'fn' | 'arg'
+    if _is_compose(u):
+        s = f"{_format(u.fn.arg, 'left-of-o')} o {_format(u.arg, 'top')}"
+        return f"({s})" if ctx in ("fn", "arg", "left-of-o") else s
+    if isinstance(u, CApp):
+        s = f"{_format(u.fn, 'fn')} {_format(u.arg, 'arg')}"
+        return f"({s})" if ctx == "arg" else s
+    if isinstance(u, Bullet):
+        inner = _format(u.arg, "arg")
+        return f"{inner}*"
+    if isinstance(u, Prim):
+        return u.name
+    if isinstance(u, ConstRef):
+        return u.name
+    raise CombError(f"unknown node {u!r}")
 
 
 # -- translation to lambda terms ------------------------------------------------------
@@ -485,14 +487,11 @@ def poly_value(p: PolyExpr) -> CTerm:
 
 
 def poly_instantiate(p: PolyExpr, args: Sequence[CTerm]) -> CTerm:
-    def go(q: PolyExpr) -> CTerm:
-        if isinstance(q, Id):
-            return args[q.var]
-        if isinstance(q, Coef):
-            return q.value
-        return CApp(go(q.fn), go(q.arg))
-
-    return go(p)
+    if isinstance(p, Id):
+        return args[p.var]
+    if isinstance(p, Coef):
+        return p.value
+    return CApp(poly_instantiate(p.fn, args), poly_instantiate(p.arg, args))
 
 
 def _occurrences(p: PolyExpr, v: int) -> int:

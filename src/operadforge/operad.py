@@ -109,6 +109,8 @@ def infer_arity(
     a: CTerm, bound: int = 4, sig: Signature = BCIWK, fuel: int = DEFAULT_FUEL
 ) -> Optional[tuple[int, int]]:
     """Lexicographically least (m+n, m) arity within the bound, if any."""
+    if bound < 0:
+        raise ArityError(f"negative arity bound {bound}")
     for total in range(0, 2 * bound + 1):
         for m in range(0, total + 1):
             n = total - m

@@ -87,6 +87,15 @@ class DisciplineError(TermError):
 #
 # All of these are pure functions of the node, so nodes shared between terms
 # (the images of recurring combinators, say) share them too.
+#
+# Everything else a call builds must be freed by reference counting when the
+# call returns, since normalization builds many short-lived reducts.  So no
+# traversal in this package recurses through a nested function: a recursive
+# closure is one reference cycle per call (its cell holds the function, which
+# holds the cell), which keeps the call's arguments and partial results alive
+# until the cyclic collector finds them, and those collections stall single
+# checks for milliseconds.  A traversal is a module-level function that takes
+# its state as arguments (`tests/test_no_cycles.py` checks the rule).
 
 class LTerm:
     # max_free: one more than the largest free de Bruijn index (0 if closed).
@@ -388,44 +397,46 @@ def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
     for _ in range(g):
         body = body.body
     uses = [0] * g
+    return _subst(body, 0, g, args, uses), uses
 
-    def go(t: LTerm, depth: int) -> LTerm:
-        if t.max_free <= depth:
-            return t
-        if isinstance(t, Var):
-            j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
-            if j < 0:
-                return Var(t.index - g)
-            uses[j] += 1
-            return shift(args[j], depth)
-        if isinstance(t, Lam):
-            return Lam(go(t.body, depth + 1))
-        if isinstance(t, App):
-            return canon_app(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, BraidNode):
-            outer = wires(t)
-            braid = t.braid
-            blocks = None  # once cabled: the width of each outer wire's block
-            for j in range(g):
-                v = depth + g - 1 - j
-                if v not in outer:
-                    continue
-                if blocks is None:
-                    blocks = [1] * len(outer)
-                elif braid_is_trivial(braid):
-                    return go(t.body, depth)  # the last cabling left it trivial
-                if outer.count(v) != 1:
-                    raise DisciplineError("duplicated wire under a braid node")
-                p = outer.index(v)
-                blocks[p] = len(wires(args[j]))
-                if blocks[p] != 1:  # cabling a strand to width 1 keeps the word
-                    widths = [1] * braid.strands
-                    widths[sum(blocks[p + 1 :])] = blocks[p]
-                    braid = cable(braid, widths)
-            return canon_wrap(braid, go(t.body, depth))
-        raise TermError(f"unknown node {t!r}")
 
-    return go(body, 0), uses
+def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int]) -> LTerm:
+    """`beta_step_at`'s traversal: t, found under `depth` binders of M,
+    with the group's binders replaced; counts each binder's uses."""
+    if t.max_free <= depth:
+        return t
+    if isinstance(t, Var):
+        j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
+        if j < 0:
+            return Var(t.index - g)
+        uses[j] += 1
+        return shift(args[j], depth)
+    if isinstance(t, Lam):
+        return Lam(_subst(t.body, depth + 1, g, args, uses))
+    if isinstance(t, App):
+        return canon_app(_subst(t.fn, depth, g, args, uses), _subst(t.arg, depth, g, args, uses))
+    if isinstance(t, BraidNode):
+        outer = wires(t)
+        braid = t.braid
+        blocks = None  # once cabled: the width of each outer wire's block
+        for j in range(g):
+            v = depth + g - 1 - j
+            if v not in outer:
+                continue
+            if blocks is None:
+                blocks = [1] * len(outer)
+            elif braid_is_trivial(braid):
+                return _subst(t.body, depth, g, args, uses)  # the last cabling left it trivial
+            if outer.count(v) != 1:
+                raise DisciplineError("duplicated wire under a braid node")
+            p = outer.index(v)
+            blocks[p] = len(wires(args[j]))
+            if blocks[p] != 1:  # cabling a strand to width 1 keeps the word
+                widths = [1] * braid.strands
+                widths[sum(blocks[p + 1 :])] = blocks[p]
+                braid = cable(braid, widths)
+        return canon_wrap(braid, _subst(t.body, depth, g, args, uses))
+    raise TermError(f"unknown node {t!r}")
 
 
 # A proper combinator's contraction is its rewrite rule: B a b c = a (b c),
@@ -457,19 +468,21 @@ def _find_template(fn: Lam) -> tuple:
     # a tree with g leaves has 2g - 1 nodes; closed, its variables are binders
     if fn.max_free or body.size != 2 * g - 1:
         return 0, None
-    seen = set()
-
-    def template(t: LTerm):
-        if type(t) is App:
-            fn_, arg = template(t.fn), template(t.arg)
-            return None if fn_ is None or arg is None else (fn_, arg)
-        if type(t) is not Var or t.index in seen:
-            return None
-        seen.add(t.index)
-        return g - 1 - t.index  # binder x(j+1) takes argument j
-
-    tree = template(body)
+    tree = _tree(body, g, set())
     return (0, None) if tree is None else (g, tree)
+
+
+def _tree(t: LTerm, g: int, seen: set[int]):
+    """`_find_template`'s template of t, under a group of g binders, or None
+    when t is not an application tree of binders not in `seen` (each leaf
+    met is added)."""
+    if type(t) is App:
+        fn, arg = _tree(t.fn, g, seen), _tree(t.arg, g, seen)
+        return None if fn is None or arg is None else (fn, arg)
+    if type(t) is not Var or t.index in seen:
+        return None
+    seen.add(t.index)
+    return g - 1 - t.index  # binder x(j+1) takes argument j
 
 
 def fill_template(fn: Lam, args: Sequence[LTerm]) -> LTerm:
@@ -702,48 +715,50 @@ def _fresh_name(depth: int, taken: set[str]) -> str:
 def pretty(t: LTerm) -> str:
     """Printable concrete syntax; parse(pretty(t)) == t for well-formed t."""
     consts: set[str] = set()
+    _collect_consts(t, consts)
+    return _pretty(t, [], consts)
 
-    def collect(u: LTerm):
-        if isinstance(u, Const):
-            consts.add(u.name)
-        elif isinstance(u, Lam):
-            collect(u.body)
-        elif isinstance(u, App):
-            collect(u.fn)
-            collect(u.arg)
-        elif isinstance(u, BraidNode):
-            collect(u.body)
 
-    collect(t)
+def _collect_consts(u: LTerm, consts: set[str]) -> None:
+    if isinstance(u, Const):
+        consts.add(u.name)
+    elif isinstance(u, (Lam, BraidNode)):
+        _collect_consts(u.body, consts)
+    elif isinstance(u, App):
+        _collect_consts(u.fn, consts)
+        _collect_consts(u.arg, consts)
 
-    def go(u: LTerm, env: list[str]) -> str:
-        if isinstance(u, Lam):
-            names: list[str] = []
-            body: LTerm = u
-            while isinstance(body, Lam):
-                name = _fresh_name(len(env) + len(names), consts | set(env) | set(names))
-                names.append(name)
-                body = body.body
-            return f"\\{' '.join(names)}. {go(body, env + names)}"
-        return go_app(u, env)
 
-    def go_app(u: LTerm, env: list[str]) -> str:
-        if isinstance(u, App):
-            return f"{go_app(u.fn, env)} {go_atom(u.arg, env)}"
-        return go_atom(u, env)
+def _pretty(u: LTerm, env: list[str], consts: set[str]) -> str:
+    """u printed under the binder names env (innermost last), choosing
+    fresh names that no constant of the whole term takes."""
+    if isinstance(u, Lam):
+        names: list[str] = []
+        body: LTerm = u
+        while isinstance(body, Lam):
+            name = _fresh_name(len(env) + len(names), consts | set(env) | set(names))
+            names.append(name)
+            body = body.body
+        return f"\\{' '.join(names)}. {_pretty(body, env + names, consts)}"
+    return _pretty_app(u, env, consts)
 
-    def go_atom(u: LTerm, env: list[str]) -> str:
-        if isinstance(u, Var):
-            if u.index >= len(env):
-                return f"_free{u.index - len(env)}"
-            return env[len(env) - 1 - u.index]
-        if isinstance(u, Const):
-            return u.name
-        if isinstance(u, BraidNode):
-            return f"[{u.braid}] {go_atom(u.body, env)}"
-        return f"({go(u, env)})"
 
-    return go(t, [])
+def _pretty_app(u: LTerm, env: list[str], consts: set[str]) -> str:
+    if isinstance(u, App):
+        return f"{_pretty_app(u.fn, env, consts)} {_pretty_atom(u.arg, env, consts)}"
+    return _pretty_atom(u, env, consts)
+
+
+def _pretty_atom(u: LTerm, env: list[str], consts: set[str]) -> str:
+    if isinstance(u, Var):
+        if u.index >= len(env):
+            return f"_free{u.index - len(env)}"
+        return env[len(env) - 1 - u.index]
+    if isinstance(u, Const):
+        return u.name
+    if isinstance(u, BraidNode):
+        return f"[{u.braid}] {_pretty_atom(u.body, env, consts)}"
+    return f"({_pretty(u, env, consts)})"
 
 
 def tree_lines(t: LTerm, env: Optional[list[str]] = None, prefix: str = "") -> Iterator[str]:

@@ -108,6 +108,14 @@ class TestArityMemberCompose:
         code, out, _ = run(capsys, "arity", "--bound", "3", "C I")
         assert code == 0 and "no arity" in out
 
+    @pytest.mark.parametrize(
+        "argv", [("arity", "B"), ("compose", "-s", "bibullet", "B", "a*", "b*")]
+    )
+    def test_negative_bound_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--bound", "-1", *argv[1:])
+        assert code == 1 and out == ""
+        assert err == "error: negative arity bound -1\n"
+
     def test_member(self, capsys):
         code, out, _ = run(capsys, "member", "-s", "bcpmi", "C+ o B", "2")
         assert code == 0 and out.strip() == "Equal"

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import normalize_oracle as oracle
-from conftest import braid_words
 from test_equivariance import checks, mirror
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
@@ -339,20 +338,35 @@ def test_braided_eta_matches_stepping(monkeypatch):
 # -- one contraction -------------------------------------------------------------
 
 
+_BIT = st.booleans()
+# per wire count n: where to split n wires, and a word of up to 4 letters on them
+_SPLIT = {n: st.integers(1, n - 1) for n in range(2, 6)}
+_LETTERS = {
+    n: st.lists(st.tuples(st.integers(1, n - 1), _BIT), max_size=4) for n in range(2, 6)
+}
+
+
 @st.composite
 def spines(draw, wires_):
     """A term whose free wires are exactly `wires_`, in some order, with
-    braid nodes over random groups."""
+    braid nodes over random groups.  Every choice is one draw from a
+    strategy built once, not a nested composite or flatmap per node: the
+    choices come at the same rates, and hypothesis draws them faster."""
+    return _spine(draw, wires_)
+
+
+def _spine(draw, wires_):
     if len(wires_) == 1:
         return Var(wires_[0])
-    if draw(st.booleans()) and len(wires_) <= 4:
+    n = len(wires_)
+    if draw(_BIT) and n <= 4:
         # an abstraction whose bound wire comes last
-        return Lam(draw(spines([w + 1 for w in wires_] + [0])))
-    k = draw(st.integers(1, len(wires_) - 1))
-    t = App(draw(spines(wires_[:k])), draw(spines(wires_[k:])))
-    if draw(st.booleans()):
-        word = draw(braid_words(max_strands=len(wires_), max_len=4, min_strands=len(wires_)))
-        t = BraidNode(word, t)
+        return Lam(_spine(draw, [w + 1 for w in wires_] + [0]))
+    k = draw(_SPLIT[n])
+    t = App(_spine(draw, wires_[:k]), _spine(draw, wires_[k:]))
+    if draw(_BIT):
+        letters = tuple(-i if neg else i for i, neg in draw(_LETTERS[n]))
+        t = BraidNode(BraidWord(n, letters), t)
     return t
 
 

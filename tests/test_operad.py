@@ -112,6 +112,12 @@ class TestInferArity:
         assert infer_arity(Prim("K")) == (1, 0)
         assert infer_arity(Prim("W")) == (1, 2)
 
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_bound_refused(self, bound):
+        # a search over no arities is not an answer
+        with pytest.raises(ArityError, match=f"^negative arity bound {bound}$"):
+            infer_arity(Prim("B"), bound=bound)
+
 
 class TestMembership:
     def test_examples(self):
