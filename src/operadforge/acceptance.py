@@ -322,7 +322,7 @@ def criterion_9(samples: int, seed: int, fuel: int) -> Result:
     for _ in range(samples):
         # unit laws
         k = rng.randint(0, 2)
-        f = operad.sample_operad_elem(k, sig, rng, depth=1)
+        f = operad.sample_operad_elem(k, sig, rng)
         viaid = operad.operad_compose(operad.ID_ELEM, [f], sig)
         if comb_equal(viaid.elem, f.elem, sig, fuel=fuel) is not Verdict.EQUAL:
             return Result("operad laws", False, "id(f) != f")
@@ -332,10 +332,10 @@ def criterion_9(samples: int, seed: int, fuel: int) -> Result:
             return Result("operad laws", False, "f(id, .., id) != f")
 
         # associativity: h(g1(f11..), g2(f21..)) = (h(g1, g2))(f11.., f21..)
-        h = operad.sample_operad_elem(2, sig, rng, depth=1)
-        gs = [operad.sample_operad_elem(rng.randint(0, 2), sig, rng, depth=1) for _ in range(2)]
+        h = operad.sample_operad_elem(2, sig, rng)
+        gs = [operad.sample_operad_elem(rng.randint(0, 2), sig, rng) for _ in range(2)]
         fss = [
-            [operad.sample_operad_elem(rng.randint(0, 1), sig, rng, depth=1) for _ in range(g.m)]
+            [operad.sample_operad_elem(rng.randint(0, 1), sig, rng) for _ in range(g.m)]
             for g in gs
         ]
         lhs = operad.operad_compose(
@@ -349,20 +349,20 @@ def criterion_9(samples: int, seed: int, fuel: int) -> Result:
 
         # closedness round trips
         m = rng.randint(1, 3)
-        t = operad.sample_operad_elem(m, sig, rng, depth=1)
-        clo = operad.closed_lambda(t, sig, verify=False)
+        t = operad.sample_operad_elem(m, sig, rng)
+        clo = operad.closed_lambda(t)
         back = operad.operad_compose(operad.APP_ELEM, [clo, operad.ID_ELEM], sig)
         if comb_equal(back.elem, t.elem, sig, fuel=fuel) is not Verdict.EQUAL:
             return Result("operad laws", False, "lambda(t) o B != t")
-        x = operad.sample_operad_elem(rng.randint(0, 2), sig, rng, depth=1)
+        x = operad.sample_operad_elem(rng.randint(0, 2), sig, rng)
         xB = operad.operad_compose(operad.APP_ELEM, [x, operad.ID_ELEM], sig)
-        again = operad.closed_lambda(operad.OperadElem(xB.elem, x.m + 1), sig, verify=False)
+        again = operad.closed_lambda(operad.OperadElem(xB.elem, x.m + 1))
         if comb_equal(again.elem, x.elem, sig, fuel=fuel) is not Verdict.EQUAL:
             return Result("operad laws", False, "lambda(x o B) != x")
 
         # exchange law for a checked arity
         m = rng.randint(0, 2)
-        a = operad.sample_operad_elem(m, sig, rng, depth=1)  # arity m -> 1
+        a = operad.sample_operad_elem(m, sig, rng)  # arity m -> 1
         b = sample_closed(sig, rng, max_depth=1)
         lhs_e = comb.compose(comb.b_power_apply(m, b), a.elem)
         rhs_e = comb.compose(a.elem, comb.b_power_apply(1, b))
@@ -413,7 +413,7 @@ def criterion_11(samples: int, seed: int, fuel: int) -> Result:
     sig = BCPMI
     rng = random.Random(seed)
     pools = {
-        m: [operad.sample_operad_elem(m, sig, rng, depth=1) for _ in range(8)]
+        m: [operad.sample_operad_elem(m, sig, rng) for _ in range(8)]
         for m in range(0, 4)
     }
     total = 0
@@ -447,8 +447,8 @@ def criterion_12(samples: int, seed: int, fuel: int) -> Result:
         return Result("trace syntax", False, "cup expression or arity wrong")
     if format_cterm(eps.elem) != "Tr (C o B C o B B o B)" or (eps.m, eps.n) != (2, 0):
         return Result("trace syntax", False, "cap expression or arity wrong")
-    inner = operad.certify(parse_cterm("C+ o C+ o C+"), 2, 2, BCPMI, fuel=fuel)
-    if not inner.checked:
+    inner = parse_cterm("C+ o C+ o C+")
+    if operad.has_arity(inner, 2, 2, BCPMI, fuel=fuel) is not Verdict.EQUAL:
         return Result("trace syntax", False, "closure input is not 2 -> 2")
     from .cli import main as cli_main
 

@@ -11,8 +11,8 @@ which its expressions are interpreted (`_SIGNATURE_FACTS`); every other
 signature fact, such as its exchange combinator or whether it allows
 weakening and contraction, is derived from those two.
 
-``Tr`` is accepted only when the signature carries the trace extension, and
-only for construction and printing; no equality involves it.
+``Tr`` belongs to no signature: it is accepted for construction and
+printing only, and no equality involves it.
 """
 
 from __future__ import annotations
@@ -62,21 +62,14 @@ DISCIPLINE_PRIMITIVES = {d: prims for d, prims in _SIGNATURE_FACTS.values()}
 @dataclass(frozen=True)
 class Signature:
     tag: str
-    trace_extension: bool = False
 
     def __post_init__(self):
         if self.tag not in _SIGNATURE_FACTS:
             raise CombError(f"unknown signature {self.tag!r}")
-        if self.trace_extension and self.discipline not in (
-            Discipline.LINEAR,
-            Discipline.BRAIDED,
-        ):
-            raise CombError("trace extension requires BCI or BCpmI")
 
     @property
     def primitives(self) -> frozenset[str]:
-        prims = _SIGNATURE_FACTS[self.tag][1]
-        return prims | {"Tr"} if self.trace_extension else prims
+        return _SIGNATURE_FACTS[self.tag][1]
 
     @property
     def discipline(self) -> Discipline:
@@ -528,7 +521,7 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
                 inner = _abstract_last(p.arg, sig, m)
             return AppP(AppP(Coef(B), p.fn), inner)
         # occurrences only in the function part
-        if poly_arity_of_part(p.arg) == 0:
+        if not _leaves(p.arg):
             # the internalization of the closed argument, native or derived
             a = poly_value(p.arg)
             if sig.discipline is Discipline.PLANAR:
@@ -547,10 +540,6 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
             )
         return AppP(AppP(Coef(C), _abstract_last(p.fn, sig, m)), p.arg)
     raise CombError("cannot abstract from a coefficient")
-
-
-def poly_arity_of_part(p: PolyExpr) -> int:
-    return len(_leaves(p))
 
 
 def _relabel(p: PolyExpr, old: int, new: int) -> PolyExpr:
@@ -611,7 +600,7 @@ def beta_check_abstraction(
 # -- samples ------------------------------------------------------------------------
 
 def _gen(sig: Signature, rng: random.Random, depth: int) -> CTerm:
-    prims = sorted(sig.primitives - {"Tr"})
+    prims = sorted(sig.primitives)
     roll = rng.random()
     if depth <= 0 or roll < 0.45:
         return Prim(rng.choice(prims))
@@ -663,12 +652,7 @@ def _ax_signed(name: str, lhs: str, rhs: str, metavars: str = "", star: bool = F
                 variants.append((l.replace("C!", f"C{s2}"), r.replace("C!", f"C{s2}")))
         else:
             variants.append((l, r))
-    # deduplicate while preserving order
-    seen = []
-    for v in variants:
-        if v not in seen:
-            seen.append(v)
-    return Axiom(name, tuple(seen), tuple(metavars.split()))
+    return Axiom(name, tuple(dict.fromkeys(variants)), tuple(metavars.split()))
 
 
 PLANAR_AXIOMS = (
@@ -833,12 +817,11 @@ def classical_S_polynomial() -> PolyExpr:
     return AppP(AppP(Id(0), Id(2)), AppP(Id(1), Id(2)))
 
 
-def derive_classical_S(sig: Signature = BCIWK) -> CTerm:
-    """A duplicating composite over B, C, W acting like the classical S."""
-    if sig.discipline is not Discipline.CARTESIAN:
-        raise CombError("the classical duplicator needs the BCIWK signature")
-    derived = bracket_abstract(classical_S_polynomial(), sig)
+def derive_classical_S() -> CTerm:
+    """A duplicating composite over B, C, W acting like the classical S, in
+    the BCIWK signature."""
+    derived = bracket_abstract(classical_S_polynomial(), BCIWK)
     frozen = parse_cterm(_S_WORD_SRC)
-    if comb_equal(derived, frozen, sig) is not Verdict.EQUAL:
+    if comb_equal(derived, frozen, BCIWK) is not Verdict.EQUAL:
         raise AssertionError("derived duplicator no longer matches the frozen word")
     return frozen

@@ -11,6 +11,9 @@ the i-1 fold B-application of the exchange combinator (sign-matched in the
 braided signature), composed onto the element letter by letter.  The free
 choices in this encoding are pinned by the action laws and the equivariance
 condition, which the test suite checks exhaustively on small sizes.
+
+Trace syntax closes wires with the primitive Tr.  Its arities are stated,
+not decided, because no equality involves Tr.
 """
 
 from __future__ import annotations
@@ -54,20 +57,15 @@ class ArityError(CombError):
 
 @dataclass(frozen=True)
 class ArityCert:
-    """An element paired with an arity statement.
+    """An element paired with a stated arity m -> n.
 
-    checked is True only when `has_arity` verified the statement; stated
-    certificates (trace syntax) carry checked=False.
+    The statement is not checked on construction: `has_arity` decides it for
+    an element without Tr, and for trace syntax it stays a statement.
     """
 
     elem: CTerm
     m: int
     n: int
-    checked: bool = False
-
-    def __str__(self) -> str:
-        mark = "" if self.checked else " (stated)"
-        return f"{format_cterm(self.elem)} : {self.m} -> {self.n}{mark}"
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,6 @@ def has_arity(
         raise UnsupportedTrace("arity checking does not cover Tr")
     lhs, rhs = arity_lhs_rhs(a, m, n)
     return comb_equal(lhs, rhs, sig, fuel=fuel)
-
-
-def certify(a: CTerm, m: int, n: int, sig: Signature, fuel: int = DEFAULT_FUEL) -> ArityCert:
-    v = has_arity(a, m, n, sig, fuel=fuel)
-    if v is not Verdict.EQUAL:
-        raise ArityError(f"{format_cterm(a)} is not of arity {m} -> {n} ({v})")
-    return ArityCert(a, m, n, checked=True)
 
 
 def infer_arity(
@@ -135,13 +126,11 @@ def in_internal_operad(
     return comb_equal(lhs, rhs, sig, fuel=fuel)
 
 
-def operad_elem(
-    a: CTerm, m: int, sig: Signature, verify: bool = True, fuel: int = DEFAULT_FUEL
-) -> OperadElem:
-    if verify:
-        v = in_internal_operad(a, m, sig, fuel=fuel)
-        if v is not Verdict.EQUAL:
-            raise ArityError(f"{format_cterm(a)} is not in the operad at arity {m} ({v})")
+def operad_elem(a: CTerm, m: int, sig: Signature, fuel: int = DEFAULT_FUEL) -> OperadElem:
+    """a as an operad element at arity m, once membership is decided."""
+    v = in_internal_operad(a, m, sig, fuel=fuel)
+    if v is not Verdict.EQUAL:
+        raise ArityError(f"{format_cterm(a)} is not in the operad at arity {m} ({v})")
     return OperadElem(a, m)
 
 
@@ -172,29 +161,12 @@ def operad_compose(
     return out
 
 
-def closed_lambda(
-    t: OperadElem, sig: Signature, verify: bool = True, fuel: int = DEFAULT_FUEL
-) -> OperadElem:
+def closed_lambda(t: OperadElem) -> OperadElem:
     """The closure of t in IA(m+1): the unique u in IA(m) with u o B = t."""
     if t.m < 1:
         raise ArityError("closure needs arity at least 1")
-    if verify:
-        v = in_internal_operad(t.elem, t.m, sig, fuel=fuel)
-        if v is not Verdict.EQUAL:
-            raise ArityError(f"not an operad element at arity {t.m} ({v})")
     elem = compose(Bullet(CApp(t.elem, I)), b_power_element(t.m - 1))
     return OperadElem(elem, t.m - 1)
-
-
-def tensor(
-    a: ArityCert, b: ArityCert, sig: Signature, fuel: int = DEFAULT_FUEL
-) -> ArityCert:
-    """Parallel composition: a : m->n and b : p->q give (m+p) -> (n+q),
-    realized as a o (B^n b); equal to (B^m b) o a by the exchange law."""
-    if not (a.checked and b.checked):
-        raise ArityError("tensor requires checked certificates")
-    elem = compose(a.elem, b_power_apply(a.n, b.elem))
-    return certify(elem, a.m + b.m, a.n + b.n, sig, fuel=fuel)
 
 
 # -- group actions ----------------------------------------------------------------
@@ -214,9 +186,7 @@ def action_word(s: BraidWord, sig: Signature) -> CTerm:
     return out
 
 
-def group_action(
-    f: OperadElem, s: BraidWord, sig: Signature, fuel: int = DEFAULT_FUEL
-) -> OperadElem:
+def group_action(f: OperadElem, s: BraidWord, sig: Signature) -> OperadElem:
     """The action f . s of a braid (or permutation) word on an operad element."""
     if s.strands != f.m:
         raise ArityError(f"word on {s.strands} strands cannot act at arity {f.m}")
@@ -249,7 +219,7 @@ def check_equivariance(
     perm = underlying_permutation(s)
     permuted = [gs[perm(i) - 1] for i in range(1, k + 1)]
     cabled = cable(s, widths)
-    rhs = group_action(operad_compose(f, permuted, sig), cabled, sig, fuel=fuel)
+    rhs = group_action(operad_compose(f, permuted, sig), cabled, sig)
     return comb_equal(lhs.elem, rhs.elem, sig, fuel=fuel)
 
 
@@ -280,46 +250,31 @@ def evaluate(
 
 # -- trace syntax ------------------------------------------------------------------
 
-def _require_trace(sig: Signature) -> None:
-    if not sig.trace_extension:
-        raise UnsupportedTrace("the trace combinator needs the trace extension")
-
-
-def trace_syntax(f: ArityCert, sig: Signature) -> ArityCert:
-    """Close one wire: Tr f has arity m -> n when f has m+1 -> n+1.
-
-    Construction and printing only; no equality involves Tr.
-    """
-    _require_trace(sig)
+def trace_syntax(f: ArityCert) -> ArityCert:
+    """Close one wire: Tr f is stated m -> n when f is stated m+1 -> n+1."""
     if f.m < 1 or f.n < 1:
         raise ArityError("trace needs at least one input and one output wire")
-    return ArityCert(CApp(TR, f.elem), f.m - 1, f.n - 1, checked=False)
+    return ArityCert(CApp(TR, f.elem), f.m - 1, f.n - 1)
 
 
-def eta_eps(sig: Signature | None = None) -> tuple[ArityCert, ArityCert]:
-    """The cup and cap built from the trace combinator, of arities 0 -> 2
-    and 2 -> 0."""
-    if sig is not None:
-        _require_trace(sig)
+def eta_eps() -> tuple[ArityCert, ArityCert]:
+    """The cup and cap built from the trace combinator, stated 0 -> 2 and
+    2 -> 0."""
     eta = parse_cterm("Tr (Tr o B Tr o B C o C)")
     eps = parse_cterm("Tr (C o B C o B B o B)")
-    return ArityCert(eta, 0, 2, checked=False), ArityCert(eps, 2, 0, checked=False)
+    return ArityCert(eta, 0, 2), ArityCert(eps, 2, 0)
 
 
-def trefoil(sig: Signature | None = None) -> ArityCert:
-    """The closure of the cubed positive exchange: a 0 -> 0 expression."""
-    if sig is not None:
-        _require_trace(sig)
-    inner = parse_cterm("C+ o C+ o C+")
-    once = ArityCert(CApp(TR, inner), 1, 1, checked=False)
-    return ArityCert(CApp(TR, once.elem), 0, 0, checked=False)
+def trefoil() -> ArityCert:
+    """The closure of the cubed positive exchange, a 2 -> 2 element, over
+    both its wires: stated 0 -> 0."""
+    return trace_syntax(trace_syntax(ArityCert(parse_cterm("C+ o C+ o C+"), 2, 2)))
 
 
 # -- samples -----------------------------------------------------------------------
 
-def sample_operad_elem(
-    m: int, sig: Signature, rng: random.Random, depth: int = 2
-) -> OperadElem:
-    """A pseudo-random member of the operad at arity m, built as a* o B^m."""
-    a = sample_closed(sig, rng, max_depth=depth)
+def sample_operad_elem(m: int, sig: Signature, rng: random.Random) -> OperadElem:
+    """A pseudo-random member of the operad at arity m, built as a* o B^m
+    with a of depth at most 1."""
+    a = sample_closed(sig, rng, max_depth=1)
     return OperadElem(compose(Bullet(a), b_power_element(m)), m)

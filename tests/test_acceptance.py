@@ -6,7 +6,8 @@ shows the live tally.  The same battery runs via `operadforge suite`.
 
 import pytest
 
-from operadforge import acceptance
+from operadforge import acceptance, operad
+from operadforge.normalize import Verdict
 
 SAMPLES = 32
 SEED = 0
@@ -65,3 +66,9 @@ def test_criterion_11_equivariance():
 
 def test_criterion_12_trace_syntax():
     _run(acceptance.criterion_12, 12)
+
+
+def test_criterion_12_refuses_a_closure_input_not_2_to_2(monkeypatch):
+    monkeypatch.setattr(operad, "has_arity", lambda *args, **kwargs: Verdict.NOT_EQUAL)
+    result = acceptance.criterion_12(SAMPLES, SEED, FUEL)
+    assert not result.ok and result.detail == "closure input is not 2 -> 2"

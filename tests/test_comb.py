@@ -57,9 +57,8 @@ class TestSignature:
         assert BCIWK.discipline is Discipline.CARTESIAN
 
     def test_trace_extension_gate(self):
-        Signature("BCpmI", trace_extension=True)
-        with pytest.raises(CombError):
-            Signature("BIbullet", trace_extension=True)
+        # no signature admits Tr, and there is no signature beyond the four
+        assert all("Tr" not in sig.primitives for sig in (BIBULLET, BCI, BCPMI, BCIWK))
         with pytest.raises(CombError):
             Signature("SK")
 
@@ -272,7 +271,7 @@ class TestCombEqual:
 
     def test_trace_refused(self):
         with pytest.raises(UnsupportedTrace):
-            comb_equal(parse_cterm("Tr I"), I, Signature("BCpmI", trace_extension=True))
+            comb_equal(parse_cterm("Tr I"), I, BCPMI)
 
     def test_composition_monoid(self, rng):
         for sig in (BIBULLET, BCI, BCPMI, BCIWK):
@@ -452,10 +451,6 @@ class TestClassicalDuplicator:
         from operadforge.comb import prims_used
 
         assert prims_used(derive_classical_S()) <= {"B", "C", "I", "W"}
-
-    def test_requires_cartesian_signature(self):
-        with pytest.raises(CombError):
-            derive_classical_S(BCI)
 
 
 class TestSampler:

@@ -37,7 +37,7 @@ def checks(count, seed=0):
     builds them from the same seed: (f, gs, s) per cell."""
     rng = random.Random(seed)
     pools = {
-        m: [operad.sample_operad_elem(m, comb.BCPMI, rng, depth=1) for _ in range(8)]
+        m: [operad.sample_operad_elem(m, comb.BCPMI, rng) for _ in range(8)]
         for m in range(4)
     }
     cells = [

@@ -13,8 +13,8 @@ from operadforge.comb import (
     ConstRef,
     I,
     Prim,
-    Signature,
     UnsupportedTrace,
+    b_power_apply,
     capp,
     comb_equal,
     compose,
@@ -30,7 +30,6 @@ from operadforge.operad import (
     ArityCert,
     ArityError,
     OperadElem,
-    certify,
     check_equivariance,
     closed_lambda,
     eta_eps,
@@ -42,13 +41,11 @@ from operadforge.operad import (
     operad_compose,
     operad_elem,
     sample_operad_elem,
-    tensor,
     trace_syntax,
     trefoil,
 )
 
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
-TRACED = Signature("BCpmI", trace_extension=True)
 
 
 class TestHasArity:
@@ -67,7 +64,7 @@ class TestHasArity:
     def test_monotonicity(self, rng):
         for _ in range(6):
             m = rng.randint(0, 2)
-            x = sample_operad_elem(m, BIBULLET, rng, depth=1)
+            x = sample_operad_elem(m, BIBULLET, rng)
             assert has_arity(x.elem, m, 1, BIBULLET) is Verdict.EQUAL
             assert has_arity(x.elem, m + 1, 2, BIBULLET) is Verdict.EQUAL
 
@@ -78,7 +75,7 @@ class TestHasArity:
 
     def test_b_application_shifts_arity(self, rng):
         for _ in range(4):
-            x = sample_operad_elem(1, BIBULLET, rng, depth=1)
+            x = sample_operad_elem(1, BIBULLET, rng)
             assert has_arity(CApp(Prim("B"), x.elem), 2, 2, BIBULLET) is Verdict.EQUAL
 
     def test_b_distributes_over_composition(self, rng):
@@ -92,7 +89,7 @@ class TestHasArity:
 
     def test_trace_refused(self):
         with pytest.raises(UnsupportedTrace):
-            has_arity(parse_cterm("Tr I"), 1, 1, TRACED)
+            has_arity(parse_cterm("Tr I"), 1, 1, BCPMI)
 
     @pytest.mark.parametrize("m,n", [(-1, 0), (0, -1), (-2, -3)])
     def test_negative_arity_refused(self, m, n):
@@ -141,7 +138,7 @@ class TestMembership:
 
 class TestOperadStructure:
     def test_unit_laws(self, rng):
-        f = sample_operad_elem(2, BIBULLET, rng, depth=1)
+        f = sample_operad_elem(2, BIBULLET, rng)
         via_id = operad_compose(ID_ELEM, [f], BIBULLET)
         assert comb_equal(via_id.elem, f.elem, BIBULLET) is Verdict.EQUAL
         via_ids = operad_compose(f, [ID_ELEM, ID_ELEM], BIBULLET)
@@ -157,66 +154,66 @@ class TestOperadStructure:
             operad_compose(APP_ELEM, [ID_ELEM], BIBULLET)
 
     def test_verify_flag(self, rng):
-        f = sample_operad_elem(1, BIBULLET, rng, depth=1)
+        f = sample_operad_elem(1, BIBULLET, rng)
         operad_compose(APP_ELEM, [f, ID_ELEM], BIBULLET, verify=True)
 
     def test_closed_lambda_of_app_is_id(self):
-        clo = closed_lambda(APP_ELEM, BIBULLET)
+        clo = closed_lambda(APP_ELEM)
         assert clo.m == 1
         assert comb_equal(clo.elem, I, BIBULLET) is Verdict.EQUAL
 
     def test_closed_lambda_round_trips(self, rng):
         for _ in range(5):
             m = rng.randint(1, 3)
-            t = sample_operad_elem(m, BIBULLET, rng, depth=1)
-            clo = closed_lambda(t, BIBULLET, verify=False)
+            t = sample_operad_elem(m, BIBULLET, rng)
+            clo = closed_lambda(t)
             back = compose(clo.elem, Prim("B"))
             assert comb_equal(back.elem if hasattr(back, "elem") else back, t.elem, BIBULLET) is Verdict.EQUAL
-            x = sample_operad_elem(rng.randint(0, 2), BIBULLET, rng, depth=1)
+            x = sample_operad_elem(rng.randint(0, 2), BIBULLET, rng)
             lifted = OperadElem(compose(x.elem, Prim("B")), x.m + 1)
-            assert comb_equal(closed_lambda(lifted, BIBULLET, verify=False).elem, x.elem, BIBULLET) is Verdict.EQUAL
+            assert comb_equal(closed_lambda(lifted).elem, x.elem, BIBULLET) is Verdict.EQUAL
 
     def test_closed_lambda_requires_positive_arity(self):
         with pytest.raises(ArityError):
-            closed_lambda(OperadElem(Bullet(a), 0), BIBULLET, verify=False)
+            closed_lambda(OperadElem(Bullet(a), 0))
 
 
 class TestTensor:
-    def test_unit(self, rng):
-        ident = certify(I, 0, 0, BIBULLET)
-        f = certify(Prim("B"), 2, 1, BIBULLET)
-        out = tensor(ident, f, BIBULLET)
+    @staticmethod
+    def tensor(x: ArityCert, y: ArityCert) -> ArityCert:
+        """Parallel composition: x : m -> n and y : p -> q give
+        (m+p) -> (n+q), realized as x o (B^n y); equal to (B^m y) o x by the
+        exchange law.  Every arity involved is checked by `has_arity`."""
+        out = ArityCert(compose(x.elem, b_power_apply(x.n, y.elem)), x.m + y.m, x.n + y.n)
+        for cert in (x, y, out):
+            assert has_arity(cert.elem, cert.m, cert.n, BIBULLET) is Verdict.EQUAL, cert
+        return out
+
+    def test_unit(self):
+        out = self.tensor(ArityCert(I, 0, 0), ArityCert(Prim("B"), 2, 1))
         assert (out.m, out.n) == (2, 1)
         assert comb_equal(out.elem, Prim("B"), BIBULLET) is Verdict.EQUAL
 
-    def test_two_bullets_exchange(self, rng):
-        fa = certify(Bullet(a), 0, 1, BIBULLET)
-        fb = certify(Bullet(b), 0, 1, BIBULLET)
-        out = tensor(fa, fb, BIBULLET)
+    def test_two_bullets_exchange(self):
+        out = self.tensor(ArityCert(Bullet(a), 0, 1), ArityCert(Bullet(b), 0, 1))
         assert (out.m, out.n) == (0, 2)
         # exchange law at input arity 0: b* o a* equals a* o (B b*)
         other_order = compose(Bullet(b), Bullet(a))
         assert comb_equal(out.elem, other_order, BIBULLET) is Verdict.EQUAL
 
     def test_b_squared(self):
-        fb = certify(Prim("B"), 2, 1, BIBULLET)
-        out = tensor(fb, fb, BIBULLET)
+        fb = ArityCert(Prim("B"), 2, 1)
+        out = self.tensor(fb, fb)
         assert (out.m, out.n) == (4, 2)
-        assert out.checked
-
-    def test_unchecked_cert_rejected(self):
-        stated = ArityCert(Prim("B"), 2, 1, checked=False)
-        with pytest.raises(ArityError):
-            tensor(stated, stated, BIBULLET)
 
 
 class TestGroupAction:
     def test_empty_word_fixes(self, rng):
-        f = sample_operad_elem(2, BCPMI, rng, depth=1)
+        f = sample_operad_elem(2, BCPMI, rng)
         assert group_action(f, BraidWord(2, ()), BCPMI) is f
 
     def test_symmetric_involution(self, rng):
-        f = sample_operad_elem(2, BCI, rng, depth=1)
+        f = sample_operad_elem(2, BCI, rng)
         twice = group_action(group_action(f, BraidWord(2, (1,)), BCI), BraidWord(2, (1,)), BCI)
         assert comb_equal(twice.elem, f.elem, BCI) is Verdict.EQUAL
 
@@ -233,7 +230,7 @@ class TestGroupAction:
         assert comb_equal(acted.elem, parse_cterm("C- o B"), BCPMI) is Verdict.NOT_EQUAL
 
     def test_action_law_on_words(self, rng):
-        f = sample_operad_elem(3, BCPMI, rng, depth=1)
+        f = sample_operad_elem(3, BCPMI, rng)
         s, t = BraidWord(3, (1, -2)), BraidWord(3, (2, 1))
         lhs = group_action(group_action(f, s, BCPMI), t, BCPMI)
         rhs = group_action(f, braid_compose(s, t), BCPMI)
@@ -246,13 +243,13 @@ class TestGroupAction:
 
 class TestEquivariance:
     def test_identity_word(self, rng):
-        f = sample_operad_elem(2, BCPMI, rng, depth=1)
-        gs = [sample_operad_elem(1, BCPMI, rng, depth=1) for _ in range(2)]
+        f = sample_operad_elem(2, BCPMI, rng)
+        gs = [sample_operad_elem(1, BCPMI, rng) for _ in range(2)]
         assert check_equivariance(f, gs, BraidWord(2, ()), BCPMI) is Verdict.EQUAL
 
     def test_c2_instance(self, rng):
-        f = sample_operad_elem(2, BCPMI, rng, depth=1)
-        g = sample_operad_elem(0, BCPMI, rng, depth=1)
+        f = sample_operad_elem(2, BCPMI, rng)
+        g = sample_operad_elem(0, BCPMI, rng)
         for letters in ((1,), (-1,)):
             assert (
                 check_equivariance(f, [g, ID_ELEM], BraidWord(2, letters), BCPMI)
@@ -260,23 +257,23 @@ class TestEquivariance:
             )
 
     def test_paper_cabling_shape(self, rng):
-        f = sample_operad_elem(3, BCPMI, rng, depth=1)
+        f = sample_operad_elem(3, BCPMI, rng)
         gs = [
-            sample_operad_elem(1, BCPMI, rng, depth=1),
-            sample_operad_elem(2, BCPMI, rng, depth=1),
-            sample_operad_elem(1, BCPMI, rng, depth=1),
+            sample_operad_elem(1, BCPMI, rng),
+            sample_operad_elem(2, BCPMI, rng),
+            sample_operad_elem(1, BCPMI, rng),
         ]
         s = BraidWord(3, (-2, 1))
         assert cable(s, [1, 2, 1]) == parse_braid("{4; -3 2 1}")
         assert check_equivariance(f, gs, s, BCPMI) is Verdict.EQUAL
 
     def test_symmetric_signature(self, rng):
-        f = sample_operad_elem(2, BCI, rng, depth=1)
-        gs = [sample_operad_elem(1, BCI, rng, depth=1) for _ in range(2)]
+        f = sample_operad_elem(2, BCI, rng)
+        gs = [sample_operad_elem(1, BCI, rng) for _ in range(2)]
         assert check_equivariance(f, gs, BraidWord(2, (1,)), BCI) is Verdict.EQUAL
 
     def test_size_mismatch(self, rng):
-        f = sample_operad_elem(2, BCPMI, rng, depth=1)
+        f = sample_operad_elem(2, BCPMI, rng)
         with pytest.raises(ArityError):
             check_equivariance(f, [ID_ELEM], BraidWord(2, (1,)), BCPMI)
 
@@ -304,34 +301,32 @@ class TestPolynomialHom:
 
 class TestTraceSyntax:
     def test_trefoil(self):
-        cert = trefoil(TRACED)
+        cert = trefoil()
         assert format_cterm(cert.elem) == "Tr (Tr (C+ o C+ o C+))"
         assert (cert.m, cert.n) == (0, 0)
-        assert not cert.checked
+
+    def test_trefoil_closes_a_checked_element_twice(self):
+        cubed = parse_cterm("C+ o C+ o C+")
+        assert has_arity(cubed, 2, 2, BCPMI) is Verdict.EQUAL
+        assert trefoil() == trace_syntax(trace_syntax(ArityCert(cubed, 2, 2)))
 
     def test_eta_eps(self):
-        eta, eps = eta_eps(TRACED)
+        eta, eps = eta_eps()
         assert format_cterm(eta.elem) == "Tr (Tr o B Tr o B C o C)"
         assert format_cterm(eps.elem) == "Tr (C o B C o B B o B)"
         assert (eta.m, eta.n) == (0, 2)
         assert (eps.m, eps.n) == (2, 0)
 
     def test_trace_arity_bookkeeping(self):
-        inner = certify(parse_cterm("C+ o C+ o C+"), 2, 2, BCPMI)
-        once = trace_syntax(inner, TRACED)
+        inner = ArityCert(parse_cterm("C+ o C+ o C+"), 2, 2)
+        once = trace_syntax(inner)
         assert (once.m, once.n) == (1, 1)
-        twice = trace_syntax(once, TRACED)
+        twice = trace_syntax(once)
         assert (twice.m, twice.n) == (0, 0)
 
-    def test_trace_requires_extension(self):
-        cert = ArityCert(Prim("C+"), 2, 2, checked=False)
-        with pytest.raises(UnsupportedTrace):
-            trace_syntax(cert, BCPMI)
-
     def test_trace_requires_wires(self):
-        cert = ArityCert(Bullet(a), 0, 1, checked=False)
         with pytest.raises(ArityError):
-            trace_syntax(cert, TRACED)
+            trace_syntax(ArityCert(Bullet(a), 0, 1))
 
     def test_cap_inner_word_certifies(self):
         assert has_arity(parse_cterm("C o B C o B B o B"), 3, 1, BCI) is Verdict.EQUAL
