@@ -183,7 +183,31 @@ class ConstRef:
         return LConst(self.name)
 
 
-CTerm = Prim | CApp | Bullet | ConstRef
+@dataclass(frozen=True)
+class NormalLeaf:
+    """An element of signature sig that enters an expression as one leaf:
+    it prints as the element, and its lambda image is the element's normal
+    form (`element_normal_form`), so the element is normalized once however
+    many expressions it enters.  The normal form is beta-eta-equal to the
+    image, so every verdict stays the same.  In the cartesian signature the
+    image is the element's own, since normalizing a subterm first can
+    diverge where normal order does not (K I applied to a divergent term)."""
+
+    elem: "CTerm"
+    sig: "Signature"
+
+    @property
+    def _prims(self) -> frozenset[str]:
+        return self.elem._prims
+
+    @_cached
+    def _image(self) -> LTerm:
+        if self.sig.discipline.exactly_once:
+            return element_normal_form(self.elem, self.sig)
+        return self.elem._image
+
+
+CTerm = Prim | CApp | Bullet | ConstRef | NormalLeaf
 
 B, C, CPLUS, CMINUS, I, W, K, TR = (Prim(n) for n in PRIM_NAMES)
 
@@ -217,10 +241,6 @@ def b_power_apply(k: int, t: CTerm) -> CTerm:
     for _ in range(k):
         t = CApp(B, t)
     return t
-
-
-def prims_used(t: CTerm) -> set[str]:
-    return set(t._prims)
 
 
 def check_signature(used: frozenset[str], sig: Signature) -> None:
@@ -360,6 +380,8 @@ def _format(u: CTerm, ctx: str) -> str:
         return u.name
     if isinstance(u, ConstRef):
         return u.name
+    if isinstance(u, NormalLeaf):
+        return _format(u.elem, ctx)
     raise CombError(f"unknown node {u!r}")
 
 
@@ -399,7 +421,7 @@ def _first_unfit(c: CTerm, fit: frozenset[str]) -> Optional[str]:
         return c.name
     if isinstance(c, CApp):
         return _first_unfit(c.fn, fit) or _first_unfit(c.arg, fit)
-    return _first_unfit(c.arg, fit)
+    return _first_unfit(c.elem if isinstance(c, NormalLeaf) else c.arg, fit)
 
 
 def from_lambda_applicative(t: LTerm) -> CTerm:
@@ -430,6 +452,42 @@ def comb_equal(
 
 def comb_normal_form(c: CTerm, sig: Signature, fuel: int = DEFAULT_FUEL) -> LTerm:
     return normalize(to_lambda(c, sig.discipline), sig.discipline, fuel=fuel)
+
+
+# The normal forms of elements, by (`_value` of the element, signature tag),
+# oldest first.  The size covers criterion 11's working set: 220 distinct
+# elements and action words over a run of its checks, about 0.5 MB.
+_normal_forms: dict = {}
+NORMAL_FORM_CACHE_SIZE = 512
+
+
+def element_normal_form(elem: CTerm, sig: Signature) -> LTerm:
+    """The normal form of an element of an exactly-once signature, computed
+    once while it is among the NORMAL_FORM_CACHE_SIZE most recent."""
+    key = (_value(elem), sig.tag)
+    nf = _normal_forms.get(key)
+    if nf is None:
+        d = sig.discipline
+        nf = normalize(to_lambda(elem, d), d)
+        if len(_normal_forms) >= NORMAL_FORM_CACHE_SIZE:
+            del _normal_forms[next(iter(_normal_forms))]
+        _normal_forms[key] = nf
+    return nf
+
+
+def _value(c: CTerm):
+    """c as nested tuples and strings, equal exactly when the expressions
+    are, in a fraction of the memory: a primitive is its name, and the tags
+    of the other nodes are no primitive's name.  A leaf is its element."""
+    if type(c) is CApp:
+        return (_value(c.fn), _value(c.arg))
+    if type(c) is Prim:
+        return c.name
+    if type(c) is Bullet:
+        return ("*", _value(c.arg))
+    if type(c) is ConstRef:
+        return ("c", c.name)
+    return _value(c.elem)
 
 
 # -- planar polynomials and bracket abstraction ------------------------------------

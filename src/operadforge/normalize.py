@@ -36,27 +36,47 @@ fires only when the bound wire's strand is provably unentangled (its
 reduced word avoids the first strand), and the braid it leaves in argument
 position joins its slot's word like a reduct's.
 
-Two normal forms are compared by one walk over both canonical forms in
-lockstep (`canonical_equal`): node types must match and leaves be equal,
-and where either side has a braid node, the two slot words, a missing one
-counting as trivial, must be equal as braids, which the word problem
-decides.  Only braided terms have braid nodes, so the same walk decides
-equality in all four disciplines.
+Two normal forms are compared by one walk over both in lockstep
+(`canonical_equal`).  Where a braid sits is not unique: one whose crossings
+avoid a binder's strand may sit above the binder or under it, and two
+reduction strategies can leave it in different places.  So the walk does
+not compare slot words; it carries a pending braid delta, meaning "a equals
+b followed by delta", trivial at the root:
+
+* at a braid node, delta absorbs both words: w_b, then delta, then the
+  inverse of w_a (a missing node counts as trivial);
+* under an abstraction, delta gains the bound wire as strand 1
+  (`shift_strands`);
+* at an application, delta must be the direct sum of a braid on the
+  argument's strands and one on the function's.  Each part is delta with
+  the other block's strands deleted (`cable` with widths 0 and 1); the
+  verdict is NotEqual unless delta keeps the two blocks and equals the sum
+  of its parts, and each part goes down its own side.
+
+Node types must match and leaves be equal.  Each move is a node rule read
+backwards, so an Equal verdict is sound; the word problem decides each
+braid equality.  Delta stays None while trivial, so braid-free terms, which
+all disciplines but the braided one have, walk with no braid arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
+from functools import reduce
 
 from .braids import (
     BraidWord,
     braid_compose,
     braid_equal,
+    braid_inverse,
     braid_is_trivial,
+    cable,
     direct_sum,
     remove_strand_one,
+    shift_strands,
     trivial,
+    underlying_permutation,
 )
 from .terms import (
     App,
@@ -352,30 +372,60 @@ def lam_equal(t1: LTerm, t2: LTerm, d: Discipline, fuel: int = DEFAULT_FUEL) -> 
 
 def canonical_equal(t1: LTerm, t2: LTerm) -> Verdict:
     """Decide equality of two normal forms of the same discipline: one walk
-    in lockstep, slot by slot (see the module docstring).  Two slot words
-    must also have the same strand count."""
-    todo = [(canon_braids(t1), canon_braids(t2))]
+    over both in lockstep with a pending braid (see the module docstring)."""
+    todo = [(canon_braids(t1), canon_braids(t2), None)]
     while todo:
-        a, b = todo.pop()
-        wa = wb = None
-        if type(a) is BraidNode:
-            wa, a = a.braid, a.body
-        if type(b) is BraidNode:
-            wb, b = b.braid, b.body
-        if wa is not None or wb is not None:
-            if wa is None:
-                wa = trivial(wb.strands)
-            elif wb is None:
-                wb = trivial(wa.strands)
-            if wa.strands != wb.strands or not braid_equal(wa, wb):
+        a, b, delta = todo.pop()
+        if type(a) is BraidNode or type(b) is BraidNode:
+            # w_b, then delta, then the inverse of w_a
+            words = [] if delta is None else [delta]
+            if type(b) is BraidNode:
+                words.insert(0, b.braid)
+                b = b.body
+            if type(a) is BraidNode:
+                words.append(braid_inverse(a.braid))
+                a = a.body
+            if len({w.strands for w in words}) > 1:
                 return Verdict.NOT_EQUAL
+            delta = reduce(braid_compose, words)
+            if braid_is_trivial(delta):
+                delta = None
         if type(a) is not type(b):
             return Verdict.NOT_EQUAL
         if type(a) is Lam:
-            todo.append((a.body, b.body))
+            todo.append((a.body, b.body, None if delta is None else shift_strands(delta, 1)))
         elif type(a) is App:
-            todo.append((a.arg, b.arg))
-            todo.append((a.fn, b.fn))
+            if delta is None:
+                todo.append((a.arg, b.arg, None))
+                todo.append((a.fn, b.fn, None))
+                continue
+            n = len(wires(a.arg))
+            split = _split(delta, n) if n == len(wires(b.arg)) else None
+            if split is None:
+                return Verdict.NOT_EQUAL
+            todo.append((a.arg, b.arg, split[0]))
+            todo.append((a.fn, b.fn, split[1]))
         elif a != b:
             return Verdict.NOT_EQUAL
     return Verdict.EQUAL
+
+
+def _split(delta: BraidWord, n: int) -> tuple[BraidWord | None, BraidWord | None] | None:
+    """delta over an application whose argument rides strands 1..n, as the
+    pair (argument part, function part), each None when trivial; None when
+    delta is not the direct sum of its two parts."""
+    if n == 0:
+        return None, delta
+    if n == delta.strands:
+        return delta, None
+    if any(k > n for k in underlying_permutation(delta).image[:n]):
+        return None
+    rest = delta.strands - n
+    arg = cable(delta, [1] * n + [0] * rest)
+    fn = cable(delta, [0] * n + [1] * rest)
+    if not braid_equal(delta, direct_sum([arg, fn])):
+        return None
+    return (
+        None if braid_is_trivial(arg) else arg,
+        None if braid_is_trivial(fn) else fn,
+    )

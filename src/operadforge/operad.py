@@ -33,8 +33,8 @@ from .comb import (
     CTerm,
     ConstRef,
     I,
+    NormalLeaf,
     Signature,
-    UnsupportedTrace,
     b_power_apply,
     b_power_element,
     capp,
@@ -44,7 +44,6 @@ from .comb import (
     format_cterm,
     from_lambda_applicative,
     parse_cterm,
-    prims_used,
     sample_closed,
     subst_consts,
 )
@@ -90,8 +89,6 @@ def has_arity(
     a: CTerm, m: int, n: int, sig: Signature, fuel: int = DEFAULT_FUEL
 ) -> Verdict:
     """Decide whether a is of arity m -> n in the signature's term model."""
-    if "Tr" in prims_used(a):
-        raise UnsupportedTrace("arity checking does not cover Tr")
     lhs, rhs = arity_lhs_rhs(a, m, n)
     return comb_equal(lhs, rhs, sig, fuel=fuel)
 
@@ -187,12 +184,13 @@ def action_word(s: BraidWord, sig: Signature) -> CTerm:
 
 
 def group_action(f: OperadElem, s: BraidWord, sig: Signature) -> OperadElem:
-    """The action f . s of a braid (or permutation) word on an operad element."""
+    """The action f . s of a braid (or permutation) word on an operad element:
+    the word's action element, entered as a `NormalLeaf`, then f."""
     if s.strands != f.m:
         raise ArityError(f"word on {s.strands} strands cannot act at arity {f.m}")
     if not s.letters:
         return f
-    return OperadElem(compose(action_word(s, sig), f.elem), f.m)
+    return OperadElem(compose(NormalLeaf(action_word(s, sig), sig), f.elem), f.m)
 
 
 def check_equivariance(
@@ -207,12 +205,22 @@ def check_equivariance(
         (f . s)(g_1, .., g_k)  =  (f(g_{s^-1(1)}, .., g_{s^-1(k)})) . s[j_1, .., j_k]
 
     with j_i the arity of g_i and strand i of s carrying g_i.
+
+    f, each g_i and the two action elements enter both sides as
+    `NormalLeaf`s, whose images are their cached normal forms, so each is
+    normalized once per distinct element (`comb.element_normal_form`), not
+    inside both sides of every check.  The verdict is the one the raw sides
+    get: a normal form is beta-eta-equal to the image it replaces, and
+    `canonical_equal` does not depend on where normalizing an element
+    first leaves a braid.  A leaf prints as its element.
     """
     k = f.m
     if s.strands != k or len(gs) != k:
         raise ArityError("equivariance check needs matching sizes")
+    f = OperadElem(NormalLeaf(f.elem, sig), k)
+    gs = [OperadElem(NormalLeaf(g.elem, sig), g.m) for g in gs]
     widths = [g.m for g in gs]
-    lhs = operad_compose(group_action(f, s, sig), list(gs), sig)
+    lhs = operad_compose(group_action(f, s, sig), gs, sig)
     # Our permutation image maps a strand's start position to its end
     # position, which is the inverse of the indexing the displayed law uses;
     # slot i of the inner composite therefore receives gs[perm(i)].

@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from operadforge import comb
 from operadforge.braids import BraidWord
+
+
+@pytest.fixture(autouse=True)
+def empty_element_cache():
+    """Each test starts with no cached element normal forms, so that no
+    test's work counts depend on which tests ran before it."""
+    comb._normal_forms.clear()
 
 
 def braid_words(max_strands: int = 5, max_len: int = 8, min_strands: int = 0):

@@ -4,8 +4,6 @@ Each test prints one pass/fail line; `pytest tests/test_acceptance.py -v -s`
 shows the live tally.  The same battery runs via `operadforge suite`.
 """
 
-import pytest
-
 from operadforge import acceptance, operad
 from operadforge.normalize import Verdict
 

@@ -94,6 +94,15 @@ class TestEq:
         assert code == 3
         assert "Unknown" in err
 
+    @pytest.mark.parametrize("sign,want", [("-1", "Equal"), ("1", "NotEqual")])
+    def test_braid_placement_does_not_decide(self, capsys, sign, want):
+        # with -1, the left braid is the right one moved up past the binder
+        # of w, which its crossing avoids; with 1, it is that braid's inverse
+        left = f"\\x y z. [{{3; {sign}}}] (x (\\w. z (y w)))"
+        right = r"\x y z. x (\w. [{3; -2}] (z (y w)))"
+        code, out, err = run(capsys, "eq", "-d", "braided", left, right)
+        assert (code, out, err) == (0, f"{want}\n", "")
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "eq", "a", "b")
         assert code == 1
@@ -103,6 +112,11 @@ class TestArityMemberCompose:
     def test_arity_b(self, capsys):
         code, out, _ = run(capsys, "arity", "B")
         assert code == 0 and out.strip() == "2 -> 1"
+
+    def test_arity_of_trace_exit_3(self, capsys):
+        code, out, err = run(capsys, "arity", "Tr I")
+        assert (code, out) == (3, "")
+        assert err == "Unknown: equality involving Tr is not supported\n"
 
     def test_arity_none(self, capsys):
         code, out, _ = run(capsys, "arity", "--bound", "3", "C I")

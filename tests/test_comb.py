@@ -43,7 +43,7 @@ from operadforge.comb import (
     to_lambda,
 )
 from operadforge.normalize import Verdict
-from operadforge.terms import Discipline, parse, pretty
+from operadforge.terms import Discipline, parse
 
 B, C, I, W, K = Prim("B"), Prim("C"), Prim("I"), Prim("W"), Prim("K")
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
@@ -200,7 +200,7 @@ class TestTranslationCache:
     @settings(max_examples=200, deadline=None)
     @given(_any_cterms())
     def test_one_image_for_every_fitting_discipline(self, c):
-        fits = [d for d in Discipline if comb.prims_used(c) <= comb.DISCIPLINE_PRIMITIVES[d]]
+        fits = [d for d in Discipline if c._prims <= comb.DISCIPLINE_PRIMITIVES[d]]
         images = [to_lambda(c, d) for d in fits]
         assert all(image is images[0] for image in images)
 
@@ -220,18 +220,6 @@ class TestTranslationCache:
                 with pytest.raises(error) as caught:
                     to_lambda(c, d)
                 assert type(caught.value) is error and str(caught.value) == message
-
-    def test_prims_used_returns_a_copy(self):
-        c = parse_cterm("B (C I)")
-        used = comb.prims_used(c)
-        assert used == {"B", "C", "I"}
-        used.add("W")
-        used.discard("C")
-        assert comb.prims_used(c) == {"B", "C", "I"}
-        assert comb.prims_used(c.arg) == {"C", "I"}
-        assert to_lambda(c, Discipline.LINEAR) == parse(r"(\f x y. f (x y)) ((\f x y. f y x) (\x. x))")
-        with pytest.raises(CombError, match="^primitive C does not fit the planar discipline$"):
-            to_lambda(c, Discipline.PLANAR)
 
     def test_second_comparison_checks_only_new_nodes(self, monkeypatch):
         rng = random.Random(5)
@@ -448,9 +436,7 @@ class TestClassicalDuplicator:
         assert comb_equal(capp(W, a, b), capp(a, b, b), BCIWK) is Verdict.EQUAL
 
     def test_word_uses_only_permitted_primitives(self):
-        from operadforge.comb import prims_used
-
-        assert prims_used(derive_classical_S()) <= {"B", "C", "I", "W"}
+        assert derive_classical_S()._prims <= {"B", "C", "I", "W"}
 
 
 class TestSampler:
@@ -461,12 +447,10 @@ class TestSampler:
         ]
 
     def test_respects_signature(self):
-        from operadforge.comb import prims_used
-
         rng = random.Random(2)
         for sig in (BIBULLET, BCI, BCPMI, BCIWK):
             for _ in range(20):
-                assert prims_used(sample_closed(sig, rng)) <= set(sig.primitives)
+                assert sample_closed(sig, rng)._prims <= sig.primitives
 
     def test_bug_in_screening_is_raised_not_redrawn(self, monkeypatch):
         real = comb.comb_normal_form

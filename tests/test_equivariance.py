@@ -12,6 +12,10 @@ Equal too readily would still pass it.  Two controls have known answers:
   both sides of either law, forgotten, must be Equal in BCI, whatever the
   braided verdict.
 
+`check_equivariance` enters its elements as cached normal forms
+(`comb.NormalLeaf`), so the controls also hold each verdict, law and mirror,
+to the one the raw sides get, in which every element is itself.
+
 Neither control can see a swapped crossing sign in `Signature.exchange`:
 the law and its mirror are symmetric under exchanging every σ with σ⁻¹, so
 every verdict comes out the same.  `test_comb.py::test_exchange` guards the
@@ -58,24 +62,40 @@ def mirror(s):
 
 
 def forget(c):
-    """The image of a BC±I expression in BCI."""
+    """The image of a BC±I expression in BCI; an element entered as a leaf
+    stays a leaf, of its own image in BCI."""
     if c in (comb.CPLUS, comb.CMINUS):
         return comb.C
     if isinstance(c, comb.CApp):
         return comb.CApp(forget(c.fn), forget(c.arg))
     if isinstance(c, comb.Bullet):
         return comb.Bullet(forget(c.arg))
+    if isinstance(c, comb.NormalLeaf):
+        return comb.NormalLeaf(forget(c.elem), comb.BCI)
+    return c
+
+
+def raw(c):
+    """c with each element entered as a leaf put back as itself."""
+    if isinstance(c, comb.CApp):
+        return comb.CApp(raw(c.fn), raw(c.arg))
+    if isinstance(c, comb.Bullet):
+        return comb.Bullet(raw(c.arg))
+    if isinstance(c, comb.NormalLeaf):
+        return raw(c.elem)
     return c
 
 
 @pytest.fixture
 def sides(monkeypatch):
-    """The (lhs, rhs) pairs that check_equivariance compares, in order."""
+    """The (lhs, rhs, verdict) triples that check_equivariance decides, in
+    order."""
     seen = []
 
     def recording(lhs, rhs, sig, fuel=normalize_module.DEFAULT_FUEL):
-        seen.append((lhs, rhs))
-        return comb.comb_equal(lhs, rhs, sig, fuel=fuel)
+        v = comb.comb_equal(lhs, rhs, sig, fuel=fuel)
+        seen.append((lhs, rhs, v))
+        return v
 
     monkeypatch.setattr(operad, "comb_equal", recording)
     return seen
@@ -95,15 +115,18 @@ def test_mirror_and_forgetful_controls(monkeypatch, sides):
     # the mirror control has bite both ways
     assert min(verdicts.values()) >= 30, verdicts
     assert len(sides) == 240
-    for lhs, rhs in sides:
+    for lhs, rhs, v in sides:
+        # the verdict the raw sides get
+        assert comb.comb_equal(raw(lhs), raw(rhs), comb.BCPMI) is v
         assert comb.comb_equal(forget(lhs), forget(rhs), comb.BCI) is Verdict.EQUAL
 
 
 def test_contraction_and_traversal_counts(monkeypatch):
     """A tripwire for the work normalization does: a binder group takes its
     arguments in one traversal, a saturated proper combinator is contracted
-    by filling in its template, with no traversal, and the binders
-    contracted match what contracting one binder per traversal contracts."""
+    by filling in its template, with no traversal, the binders contracted
+    match what contracting one binder per traversal contracts, and each
+    element is normalized once (the cache starts empty, see conftest.py)."""
     traverse, fill = normalize_module.beta_step_at, normalize_module.fill_template
     counts = {"traversals": 0, "templates": 0, "binders": 0}
 
@@ -119,6 +142,7 @@ def test_contraction_and_traversal_counts(monkeypatch):
     monkeypatch.setattr(normalize_module, "fill_template", counted("templates", fill))
     for f, gs, s in checks(150, seed=1):
         assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
-    # one traversal per group made 10,299 traversals, and one binder per
-    # traversal 24,569
-    assert counts == {"traversals": 3_727, "templates": 6_572, "binders": 24_569}
+    # one traversal per group made 4,538 traversals, and one binder per
+    # traversal 10,627; normalizing every element inside both sides of each
+    # check made 3,727 traversals, 6,572 templates and 24,569 binders
+    assert counts == {"traversals": 2_349, "templates": 2_189, "binders": 10_627}

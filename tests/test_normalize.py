@@ -1,7 +1,9 @@
 import pytest
 
 from operadforge import normalize as normalize_module
+from operadforge import operad
 from operadforge.braids import parse_braid
+from operadforge.comb import BCPMI, compose, to_lambda
 from operadforge.normalize import (
     FuelExhausted,
     Verdict,
@@ -81,6 +83,11 @@ class TestNormalize:
             nf(r"\f x. f x x", L)
 
     def test_strategy_independence(self, rng):
+        """Normal order and innermost stepping give the same planar normal
+        form, and braided ones that compare Equal, though a braid clear of
+        a binder's strand may sit above the binder in one and under it in
+        the other.  A walk that required equal slot words called 5 of these
+        40 composites of three operad elements NotEqual."""
         from operadforge.acceptance import _gen_closed_planar
         from normalize_oracle import normalize as step_normalize
 
@@ -89,6 +96,12 @@ class TestNormalize:
             out = normalize(t, P)
             inn = step_normalize(t, P, innermost=True)
             assert out == inn
+        for _ in range(40):
+            parts = [operad.sample_operad_elem(rng.randrange(4), BCPMI, rng) for _ in range(3)]
+            t = to_lambda(compose(*(p.elem for p in parts)), BR)
+            out = normalize(t, BR)
+            inn = step_normalize(t, BR, innermost=True)
+            assert canonical_equal(out, inn) is Verdict.EQUAL, pretty(t)
 
     def test_eta_postcondition(self, rng):
         from operadforge.acceptance import _gen_closed_planar

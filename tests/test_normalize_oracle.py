@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import normalize_oracle as oracle
-from test_equivariance import checks, mirror
+from test_equivariance import checks, mirror, raw
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
+from operadforge.acceptance import _words
 from operadforge.braids import BraidWord, braid_inverse, cable, permute_contents
 from operadforge.normalize import Verdict, canon_braids, canonical_equal, normalize
 from operadforge.terms import (
@@ -135,6 +136,43 @@ def test_combinator_images(d):
         assert_same(t, d, fuel=fuel, ctx=ctx)
 
     check()
+
+
+# -- independence of the reduction strategy --------------------------------------
+# A braid whose crossings avoid a binder's strand may sit above the binder or
+# under it, and normal order and innermost stepping leave it in different
+# places; `canonical_equal` must call the two normal forms Equal.
+
+
+def assert_strategies_agree(t, ctx=Context()):
+    got = normalize(t, BR, ctx=ctx)
+    inner = oracle.normalize(t, BR, ctx=ctx, innermost=True)
+    assert canonical_equal(got, inner) is Verdict.EQUAL, pretty(t)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cases(BR))
+def test_braided_strategies_agree(case):
+    c1, c2, shape, _ = case
+    assert_strategies_agree(*_shaped(BR, c1, c2, shape))
+
+
+def test_criterion_11_strategies_agree(monkeypatch):
+    """The law's lhs in each of criterion 11's 633 cells, on sample 0 of
+    the seed-0 pools, with every element itself.  A walk that required
+    equal slot words called 246 of the 633 NotEqual."""
+    sides = []
+    monkeypatch.setattr(operad, "comb_equal", lambda lhs, rhs, sig, fuel=None: sides.append(lhs))
+    rng = random.Random(0)
+    pools = {m: [operad.sample_operad_elem(m, comb.BCPMI, rng) for _ in range(8)] for m in range(4)}
+    for k in (1, 2, 3):
+        for word in _words(k, 2):
+            for js in itertools.product((0, 1, 2), repeat=k):
+                gs = [pools[j][(off + 1) % 8] for off, j in enumerate(js)]
+                operad.check_equivariance(pools[k][0], gs, BraidWord(k, word), comb.BCPMI)
+    assert len(sides) == 633
+    for lhs in sides:
+        assert_strategies_agree(comb.to_lambda(raw(lhs), BR))
 
 
 @settings(max_examples=80, deadline=None)
@@ -610,9 +648,11 @@ def _assert_path(t, d, monkeypatch, templates):
 def test_canonical_equal_matches_canonical_forms(monkeypatch):
     """The one walk against the reference equality, which copies each
     normal form into a skeleton and a dict of slot words
-    (`oracle.forms_equal`).  The pairs are the normal forms of both sides of criterion 11's law and of
-    its mirror (see test_equivariance.py), and random pairs of equal-size
-    normal forms drawn from them.  The mirror cells give NotEqual verdicts
+    (`oracle.forms_equal`).  The pairs are the normal forms of both raw
+    sides of criterion 11's law and of its mirror (see
+    test_equivariance.py), and random pairs of equal-size normal forms
+    drawn from them: all from the one strategy, whose placement of a braid
+    the two procedures then agree on.  The mirror cells give NotEqual verdicts
     between equal skeletons, which only the slot words decide."""
     sides = []
     monkeypatch.setattr(
@@ -623,7 +663,7 @@ def test_canonical_equal_matches_canonical_forms(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(operad, "cable", lambda s, widths: cable(mirror(s), widths))
             operad.check_equivariance(f, gs, s, comb.BCPMI)
-    pairs = [tuple(comb.comb_normal_form(c, comb.BCPMI) for c in side) for side in sides]
+    pairs = [tuple(comb.comb_normal_form(raw(c), comb.BCPMI) for c in side) for side in sides]
     by_size = {}
     for n in itertools.chain.from_iterable(pairs):
         by_size.setdefault(n.size, []).append(n)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from operadforge.braids import BraidWord, braid_compose, cable, parse_braid
@@ -15,10 +13,8 @@ from operadforge.comb import (
     Prim,
     UnsupportedTrace,
     b_power_apply,
-    capp,
     comb_equal,
     compose,
-    derive_classical_S,
     format_cterm,
     parse_cterm,
     sample_closed,
@@ -168,7 +164,7 @@ class TestOperadStructure:
             t = sample_operad_elem(m, BIBULLET, rng)
             clo = closed_lambda(t)
             back = compose(clo.elem, Prim("B"))
-            assert comb_equal(back.elem if hasattr(back, "elem") else back, t.elem, BIBULLET) is Verdict.EQUAL
+            assert comb_equal(back, t.elem, BIBULLET) is Verdict.EQUAL
             x = sample_operad_elem(rng.randint(0, 2), BIBULLET, rng)
             lifted = OperadElem(compose(x.elem, Prim("B")), x.m + 1)
             assert comb_equal(closed_lambda(lifted).elem, x.elem, BIBULLET) is Verdict.EQUAL
