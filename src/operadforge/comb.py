@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import terms
 from .normalize import (
@@ -183,31 +183,7 @@ class ConstRef:
         return LConst(self.name)
 
 
-@dataclass(frozen=True)
-class NormalLeaf:
-    """An element of signature sig that enters an expression as one leaf:
-    it prints as the element, and its lambda image is the element's normal
-    form (`element_normal_form`), so the element is normalized once however
-    many expressions it enters.  The normal form is beta-eta-equal to the
-    image, so every verdict stays the same.  In the cartesian signature the
-    image is the element's own, since normalizing a subterm first can
-    diverge where normal order does not (K I applied to a divergent term)."""
-
-    elem: "CTerm"
-    sig: "Signature"
-
-    @property
-    def _prims(self) -> frozenset[str]:
-        return self.elem._prims
-
-    @_cached
-    def _image(self) -> LTerm:
-        if self.sig.discipline.exactly_once:
-            return element_normal_form(self.elem, self.sig)
-        return self.elem._image
-
-
-CTerm = Prim | CApp | Bullet | ConstRef | NormalLeaf
+CTerm = Prim | CApp | Bullet | ConstRef
 
 B, C, CPLUS, CMINUS, I, W, K, TR = (Prim(n) for n in PRIM_NAMES)
 
@@ -380,8 +356,6 @@ def _format(u: CTerm, ctx: str) -> str:
         return u.name
     if isinstance(u, ConstRef):
         return u.name
-    if isinstance(u, NormalLeaf):
-        return _format(u.elem, ctx)
     raise CombError(f"unknown node {u!r}")
 
 
@@ -421,7 +395,7 @@ def _first_unfit(c: CTerm, fit: frozenset[str]) -> Optional[str]:
         return c.name
     if isinstance(c, CApp):
         return _first_unfit(c.fn, fit) or _first_unfit(c.arg, fit)
-    return _first_unfit(c.elem if isinstance(c, NormalLeaf) else c.arg, fit)
+    return _first_unfit(c.arg, fit)
 
 
 def from_lambda_applicative(t: LTerm) -> CTerm:
@@ -454,40 +428,56 @@ def comb_normal_form(c: CTerm, sig: Signature, fuel: int = DEFAULT_FUEL) -> LTer
     return normalize(to_lambda(c, sig.discipline), sig.discipline, fuel=fuel)
 
 
-# The normal forms of elements, by (`_value` of the element, signature tag),
-# oldest first.  The size covers criterion 11's working set: 220 distinct
-# elements and action words over a run of its checks, about 0.5 MB.
+# The normal forms of the elements that enter composites as parts
+# (`part_image`), by (key, signature tag), oldest first.  The size covers
+# criterion 11's working set of distinct parts (each f, each B^i g and each
+# action): 240 in the battery, and about 410 over a run of the benchmark's
+# equivariance checks, about 0.9 MB.
 _normal_forms: dict = {}
 NORMAL_FORM_CACHE_SIZE = 512
 
 
-def element_normal_form(elem: CTerm, sig: Signature) -> LTerm:
-    """The normal form of an element of an exactly-once signature, computed
-    once while it is among the NORMAL_FORM_CACHE_SIZE most recent."""
-    key = (_value(elem), sig.tag)
+def part_image(key, build: Callable[[], CTerm], sig: Signature) -> LTerm:
+    """The lambda image of the element build() as one part of a composite
+    that is normalized whole.
+
+    In an exactly-once signature this is the element's normal form, which
+    is beta-eta-equal to its image: the element is built and normalized
+    once while `key` is among the NORMAL_FORM_CACHE_SIZE most recent.  The
+    key names the element: its value (`element_part`), or a key that no
+    value equals, such as a braid word.  In the cartesian signature it is
+    the element's own image, since normalizing a part first can diverge
+    where normal order does not (K I applied to a divergent term).
+    """
+    d = sig.discipline
+    if not d.exactly_once:
+        return to_lambda(build(), d)
+    key = (key, sig.tag)
     nf = _normal_forms.get(key)
     if nf is None:
-        d = sig.discipline
-        nf = normalize(to_lambda(elem, d), d)
+        nf = normalize(to_lambda(build(), d), d)
         if len(_normal_forms) >= NORMAL_FORM_CACHE_SIZE:
             del _normal_forms[next(iter(_normal_forms))]
         _normal_forms[key] = nf
     return nf
 
 
+def element_part(elem: CTerm, sig: Signature) -> LTerm:
+    """`part_image` of an element, keyed by its value."""
+    return part_image(_value(elem), lambda: elem, sig)
+
+
 def _value(c: CTerm):
     """c as nested tuples and strings, equal exactly when the expressions
     are, in a fraction of the memory: a primitive is its name, and the tags
-    of the other nodes are no primitive's name.  A leaf is its element."""
+    of the other nodes are no primitive's name."""
     if type(c) is CApp:
         return (_value(c.fn), _value(c.arg))
     if type(c) is Prim:
         return c.name
     if type(c) is Bullet:
         return ("*", _value(c.arg))
-    if type(c) is ConstRef:
-        return ("c", c.name)
-    return _value(c.elem)
+    return ("c", c.name)
 
 
 # -- planar polynomials and bracket abstraction ------------------------------------

@@ -12,6 +12,12 @@ braided signature), composed onto the element letter by letter.  The free
 choices in this encoding are pinned by the action laws and the equivariance
 condition, which the test suite checks exhaustively on small sizes.
 
+Multi-composition and the action are both sequential composition,
+a o b = B a b, so each side of the equivariance law is a chain of parts.
+`check_equivariance` decides it on the lambda terms \\x. q_1 (q_2 (.. (q_n x)))
+over the parts' cached normal forms (`comb.part_image`), with no
+combinator expression built per check.
+
 Trace syntax closes wires with the primitive Tr.  Its arities are stated,
 not decided, because no equality involves Tr.
 """
@@ -33,7 +39,6 @@ from .comb import (
     CTerm,
     ConstRef,
     I,
-    NormalLeaf,
     Signature,
     b_power_apply,
     b_power_element,
@@ -41,13 +46,16 @@ from .comb import (
     comb_equal,
     comb_normal_form,
     compose,
+    element_part,
     format_cterm,
     from_lambda_applicative,
     parse_cterm,
+    part_image,
     sample_closed,
     subst_consts,
 )
-from .normalize import DEFAULT_FUEL, Verdict
+from .normalize import DEFAULT_FUEL, Verdict, lam_equal
+from .terms import App, Lam, LTerm, Var
 
 
 class ArityError(CombError):
@@ -148,7 +156,7 @@ def operad_compose(
     f1 o (B f2) o .. o (B^{n-1} fn) o g at arity k1 + .. + kn."""
     if len(fs) != g.m:
         raise ArityError(f"need {g.m} arguments, got {len(fs)}")
-    parts = [b_power_apply(i, f.elem) for i, f in enumerate(fs)]
+    parts = argument_parts(fs)
     elem = compose(*parts, g.elem) if parts else g.elem
     out = OperadElem(elem, sum(f.m for f in fs))
     if verify:
@@ -156,6 +164,12 @@ def operad_compose(
         if v is not Verdict.EQUAL:
             raise ArityError(f"composite left the operad ({v})")
     return out
+
+
+def argument_parts(fs: Sequence[OperadElem]) -> list[CTerm]:
+    """B^{i-1} f_i for each i: the parts that multi-composition with
+    f_1, .., f_n composes before the operation."""
+    return [b_power_apply(i, f.elem) for i, f in enumerate(fs)]
 
 
 def closed_lambda(t: OperadElem) -> OperadElem:
@@ -183,16 +197,6 @@ def action_word(s: BraidWord, sig: Signature) -> CTerm:
     return out
 
 
-def group_action(f: OperadElem, s: BraidWord, sig: Signature) -> OperadElem:
-    """The action f . s of a braid (or permutation) word on an operad element:
-    the word's action element, entered as a `NormalLeaf`, then f."""
-    if s.strands != f.m:
-        raise ArityError(f"word on {s.strands} strands cannot act at arity {f.m}")
-    if not s.letters:
-        return f
-    return OperadElem(compose(NormalLeaf(action_word(s, sig), sig), f.elem), f.m)
-
-
 def check_equivariance(
     f: OperadElem,
     gs: Sequence[OperadElem],
@@ -206,29 +210,50 @@ def check_equivariance(
 
     with j_i the arity of g_i and strand i of s carrying g_i.
 
-    f, each g_i and the two action elements enter both sides as
-    `NormalLeaf`s, whose images are their cached normal forms, so each is
-    normalized once per distinct element (`comb.element_normal_form`), not
-    inside both sides of every check.  The verdict is the one the raw sides
-    get: a normal form is beta-eta-equal to the image it replaces, and
-    `canonical_equal` does not depend on where normalizing an element
-    first leaves a braid.  A leaf prints as its element.
+    Each side is a chain q_1 o .. o q_n of parts (see the module
+    docstring): on the left the argument parts of the g_i, the action of s
+    and f; on the right the action of the cabled word, the argument parts
+    of the permuted g_i and f; an empty word acts by no part.  Each side is
+    decided as \\x. q_1 (q_2 (.. (q_n x))), the beta-reduct of the chain's
+    image, with each part entered as its cached normal form, so each
+    distinct part is normalized once, not inside both sides of every check.
+    The verdict is the one the chains get: a normal form is beta-eta-equal
+    to the image it replaces, and `canonical_equal` does not depend on where
+    normalizing a part first leaves a braid.
     """
     k = f.m
     if s.strands != k or len(gs) != k:
         raise ArityError("equivariance check needs matching sizes")
-    f = OperadElem(NormalLeaf(f.elem, sig), k)
-    gs = [OperadElem(NormalLeaf(g.elem, sig), g.m) for g in gs]
-    widths = [g.m for g in gs]
-    lhs = operad_compose(group_action(f, s, sig), gs, sig)
     # Our permutation image maps a strand's start position to its end
     # position, which is the inverse of the indexing the displayed law uses;
     # slot i of the inner composite therefore receives gs[perm(i)].
     perm = underlying_permutation(s)
     permuted = [gs[perm(i) - 1] for i in range(1, k + 1)]
-    cabled = cable(s, widths)
-    rhs = group_action(operad_compose(f, permuted, sig), cabled, sig)
-    return comb_equal(lhs.elem, rhs.elem, sig, fuel=fuel)
+    cabled = cable(s, [g.m for g in gs])
+    args = [element_part(e, sig) for e in argument_parts(gs)]
+    permuted_args = [element_part(e, sig) for e in argument_parts(permuted)]
+    op = [element_part(f.elem, sig)]
+    lhs = args + _action_parts(s, sig) + op
+    rhs = _action_parts(cabled, sig) + permuted_args + op
+    return lam_equal(_chain(lhs), _chain(rhs), sig.discipline, fuel=fuel)
+
+
+def _action_parts(s: BraidWord, sig: Signature) -> list[LTerm]:
+    """The parts that act by s: none for the empty word, else its action
+    element, keyed by the word, so that the element is built only when its
+    normal form is not cached."""
+    if not s.letters:
+        return []
+    return [part_image(s, lambda: action_word(s, sig), sig)]
+
+
+def _chain(parts: list[LTerm]) -> LTerm:
+    """\\x. q_1 (q_2 (.. (q_n x))) for closed terms q_1 .. q_n: the
+    beta-reduct of the image of q_1 o q_2 o .. o q_n."""
+    body: LTerm = Var(0)
+    for q in reversed(parts):
+        body = App(q, body)
+    return Lam(body)
 
 
 # -- the hom to polynomials-as-functions -------------------------------------------

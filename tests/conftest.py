@@ -9,7 +9,7 @@ from operadforge.braids import BraidWord
 
 @pytest.fixture(autouse=True)
 def empty_element_cache():
-    """Each test starts with no cached element normal forms, so that no
+    """Each test starts with no cached part normal forms, so that no
     test's work counts depend on which tests ran before it."""
     comb._normal_forms.clear()
 

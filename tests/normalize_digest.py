@@ -14,12 +14,14 @@ the number of distinct inputs and a SHA-256 over the sorted lines
 "input <tab> outcome", the outcome being the printed normal form or the
 exception's type and text.
 
-A second line covers the equality decision: the number of comparisons
-that `operad.check_equivariance` makes on the same 300 operations of each
-seed, once for criterion 11's law and once for its mirror (each word's
-letters negated before cabling, as in `tests/test_equivariance.py`), and a
-SHA-256 over their lines "lhs = rhs <tab> verdict" in order.  The verdicts
-come from `comb.comb_equal`.  It is a script, not a collected test:
+A second line covers the equality decision: the number of checks that
+`operad.check_equivariance` makes on the same 300 operations of each seed,
+once for criterion 11's law and once for its mirror (each word's letters
+negated before cabling, as in `tests/test_equivariance.py`), and a SHA-256
+over their lines "lhs = rhs <tab> verdict" in order.  The sides are the
+combinator expressions the law states (`test_equivariance.law_sides`), and
+the verdict, the check's, must be the one `comb.comb_equal` gets on them.
+It is a script, not a collected test:
 
     PYTHONPATH=src python tests/normalize_digest.py
 """
@@ -39,9 +41,10 @@ import operadforge
 import operadforge.cli  # noqa: F401  (so that its `normalize` is recorded too)
 from operadforge import acceptance, comb, operad
 from operadforge import normalize as normalize_module
-from operadforge.braids import BraidWord, cable
+from operadforge.braids import cable
 from operadforge.terms import Context, pretty
 
+from test_equivariance import law_sides, mirrored_cable
 from workloads import equivariance_blocks
 
 EQUIVARIANCE_OPS = 300
@@ -109,29 +112,31 @@ def _equivariance_ops(seed: int):
 
 
 def verdicts() -> list[str]:
-    """One line per comparison of the law and of its mirror, in order."""
+    """One line per check of the law and of its mirror, in order."""
     lines = []
+    check = operad.check_equivariance
 
-    def recording(lhs, rhs, sig, fuel=normalize_module.DEFAULT_FUEL):
-        v = comb.comb_equal(lhs, rhs, sig, fuel=fuel)
+    def recording(f, gs, s, sig, fuel=normalize_module.DEFAULT_FUEL):
+        v = check(f, gs, s, sig, fuel=fuel)
+        lhs, rhs = law_sides(f, gs, s, sig)
+        raw = comb.comb_equal(lhs, rhs, sig, fuel=fuel)
+        if raw is not v:
+            raise AssertionError(f"check says {v}, the raw sides {raw}: {lhs} = {rhs}")
         lines.append(f"{comb.format_cterm(lhs)} = {comb.format_cterm(rhs)}\t{v}")
         return v
 
-    def mirrored(s, widths):
-        return cable(BraidWord(s.strands, tuple(-a for a in s.letters)), widths)
-
-    operad.comb_equal = recording
+    operad.check_equivariance = recording
     try:
         for seed in range(3):
             for op in _equivariance_ops(seed):
                 op.call()
-                operad.cable = mirrored
+                operad.cable = mirrored_cable
                 try:
                     op.call()
                 finally:
                     operad.cable = cable
     finally:
-        operad.comb_equal = comb.comb_equal
+        operad.check_equivariance = check
     return lines
 
 

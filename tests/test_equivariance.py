@@ -12,9 +12,10 @@ Equal too readily would still pass it.  Two controls have known answers:
   both sides of either law, forgotten, must be Equal in BCI, whatever the
   braided verdict.
 
-`check_equivariance` enters its elements as cached normal forms
-(`comb.NormalLeaf`), so the controls also hold each verdict, law and mirror,
-to the one the raw sides get, in which every element is itself.
+`check_equivariance` decides each side as a lambda term over the cached
+normal forms of its parts, so the controls also hold each verdict, law and
+mirror, to the one `comb.comb_equal` gets on the raw sides: the combinator
+expressions the law states, in which every element is itself (`law_sides`).
 
 Neither control can see a swapped crossing sign in `Signature.exchange`:
 the law and its mirror are symmetric under exchanging every σ with σ⁻¹, so
@@ -25,14 +26,13 @@ sign.
 import itertools
 import random
 
-import pytest
-
 import dynnikov
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
 from operadforge.acceptance import _words
-from operadforge.braids import BraidWord, cable
+from operadforge.braids import BraidWord, cable, underlying_permutation
 from operadforge.normalize import Verdict
+from test_operad import group_action
 
 
 def checks(count, seed=0):
@@ -62,53 +62,49 @@ def mirror(s):
 
 
 def forget(c):
-    """The image of a BC±I expression in BCI; an element entered as a leaf
-    stays a leaf, of its own image in BCI."""
+    """The image of a BC±I expression in BCI."""
     if c in (comb.CPLUS, comb.CMINUS):
         return comb.C
     if isinstance(c, comb.CApp):
         return comb.CApp(forget(c.fn), forget(c.arg))
     if isinstance(c, comb.Bullet):
         return comb.Bullet(forget(c.arg))
-    if isinstance(c, comb.NormalLeaf):
-        return comb.NormalLeaf(forget(c.elem), comb.BCI)
     return c
 
 
-def raw(c):
-    """c with each element entered as a leaf put back as itself."""
-    if isinstance(c, comb.CApp):
-        return comb.CApp(raw(c.fn), raw(c.arg))
-    if isinstance(c, comb.Bullet):
-        return comb.Bullet(raw(c.arg))
-    if isinstance(c, comb.NormalLeaf):
-        return raw(c.elem)
-    return c
+def law_sides(f, gs, s, sig):
+    """The two sides of the law as the combinator expressions it states,
+    (f . s)(g_1, .., g_k) and f(g_perm(1), .., g_perm(k)) . cable(s, widths),
+    with the cabling by `operad.cable`, so that a control that replaces it
+    for the check replaces it here too."""
+    perm = underlying_permutation(s)
+    permuted = [gs[perm(i) - 1] for i in range(1, f.m + 1)]
+    cabled = operad.cable(s, [g.m for g in gs])
+    lhs = operad.operad_compose(group_action(f, s, sig), gs, sig)
+    rhs = group_action(operad.operad_compose(f, permuted, sig), cabled, sig)
+    return lhs.elem, rhs.elem
 
 
-@pytest.fixture
-def sides(monkeypatch):
-    """The (lhs, rhs, verdict) triples that check_equivariance decides, in
-    order."""
-    seen = []
-
-    def recording(lhs, rhs, sig, fuel=normalize_module.DEFAULT_FUEL):
-        v = comb.comb_equal(lhs, rhs, sig, fuel=fuel)
-        seen.append((lhs, rhs, v))
-        return v
-
-    monkeypatch.setattr(operad, "comb_equal", recording)
-    return seen
+def decided(f, gs, s, sig):
+    """(lhs, rhs, verdict): the raw sides and check_equivariance's verdict."""
+    return (*law_sides(f, gs, s, sig), operad.check_equivariance(f, gs, s, sig))
 
 
-def test_mirror_and_forgetful_controls(monkeypatch, sides):
+def mirrored_cable(s, widths):
+    return cable(mirror(s), widths)
+
+
+def test_mirror_and_forgetful_controls(monkeypatch):
     verdicts = {Verdict.EQUAL: 0, Verdict.NOT_EQUAL: 0}
+    sides = []
     for f, gs, s in checks(120):
         widths = [g.m for g in gs]
-        assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
+        sides.append(decided(f, gs, s, comb.BCPMI))
+        assert sides[-1][2] is Verdict.EQUAL
         with monkeypatch.context() as m:
-            m.setattr(operad, "cable", lambda s, widths: cable(mirror(s), widths))
-            got = operad.check_equivariance(f, gs, s, comb.BCPMI)
+            m.setattr(operad, "cable", mirrored_cable)
+            sides.append(decided(f, gs, s, comb.BCPMI))
+        got = sides[-1][2]
         same = dynnikov.equal(cable(s, widths), cable(mirror(s), widths))
         assert got is (Verdict.EQUAL if same else Verdict.NOT_EQUAL), (s, widths)
         verdicts[got] += 1
@@ -117,8 +113,45 @@ def test_mirror_and_forgetful_controls(monkeypatch, sides):
     assert len(sides) == 240
     for lhs, rhs, v in sides:
         # the verdict the raw sides get
-        assert comb.comb_equal(raw(lhs), raw(rhs), comb.BCPMI) is v
+        assert comb.comb_equal(lhs, rhs, comb.BCPMI) is v
         assert comb.comb_equal(forget(lhs), forget(rhs), comb.BCI) is Verdict.EQUAL
+
+
+def skewed_cable(s, widths):
+    return cable(BraidWord(s.strands, s.letters + (1,)), widths)
+
+
+def test_linear_verdicts_match_the_raw_sides(monkeypatch):
+    """The law in BCI holds in every cell, and fails when the cabling is
+    followed by one more crossing of its first two strands, which carry
+    different parts; each verdict must be the one the raw sides get.  Each
+    cell's word first acts in BCpmI, so a part cache that did not tell the
+    signatures apart would hand BCI a braided normal form."""
+    pools = {
+        sig: {m: [operad.sample_operad_elem(m, sig, rng) for _ in range(4)] for m in range(4)}
+        for sig, rng in ((comb.BCI, random.Random(4)), (comb.BCPMI, random.Random(5)))
+    }
+    verdicts = {Verdict.EQUAL: 0, Verdict.NOT_EQUAL: 0}
+    for k in (2, 3):
+        for word in _words(k, 1):
+            for js in itertools.product((1, 2), repeat=k):
+                f, gs = {}, {}
+                for sig, pool in pools.items():
+                    f[sig] = pool[k][len(word) % 4]
+                    gs[sig] = [pool[j][(off + 1) % 4] for off, j in enumerate(js)]
+                s = BraidWord(k, word)
+                braided = operad.check_equivariance(f[comb.BCPMI], gs[comb.BCPMI], s, comb.BCPMI)
+                assert braided is Verdict.EQUAL
+                cell = (f[comb.BCI], gs[comb.BCI], s, comb.BCI)
+                found = [decided(*cell)]
+                with monkeypatch.context() as m:
+                    m.setattr(operad, "cable", skewed_cable)
+                    found.append(decided(*cell))
+                assert [v for _, _, v in found] == [Verdict.EQUAL, Verdict.NOT_EQUAL]
+                for lhs, rhs, v in found:
+                    assert comb.comb_equal(lhs, rhs, comb.BCI) is v
+                    verdicts[v] += 1
+    assert verdicts == {Verdict.EQUAL: 52, Verdict.NOT_EQUAL: 52}
 
 
 def test_contraction_and_traversal_counts(monkeypatch):
@@ -126,7 +159,7 @@ def test_contraction_and_traversal_counts(monkeypatch):
     arguments in one traversal, a saturated proper combinator is contracted
     by filling in its template, with no traversal, the binders contracted
     match what contracting one binder per traversal contracts, and each
-    element is normalized once (the cache starts empty, see conftest.py)."""
+    part is normalized once (the cache starts empty, see conftest.py)."""
     traverse, fill = normalize_module.beta_step_at, normalize_module.fill_template
     counts = {"traversals": 0, "templates": 0, "binders": 0}
 
@@ -142,7 +175,9 @@ def test_contraction_and_traversal_counts(monkeypatch):
     monkeypatch.setattr(normalize_module, "fill_template", counted("templates", fill))
     for f, gs, s in checks(150, seed=1):
         assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
-    # one traversal per group made 4,538 traversals, and one binder per
-    # traversal 10,627; normalizing every element inside both sides of each
-    # check made 3,727 traversals, 6,572 templates and 24,569 binders
-    assert counts == {"traversals": 2_349, "templates": 2_189, "binders": 10_627}
+    # one traversal per group made 2,928 traversals, and one binder per
+    # traversal 6,483 (the stepping oracle, tests/normalize_oracle.py, on
+    # the same 426 normalize inputs); combinator sides with each element
+    # entered as its normal form made 2,349 traversals, 2,189 templates and
+    # 10,627 binders, and with each element itself 3,727, 6,572 and 24,569
+    assert counts == {"traversals": 2_216, "templates": 712, "binders": 6_483}

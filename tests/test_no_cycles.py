@@ -15,6 +15,7 @@ import gc
 from pathlib import Path
 
 from test_equivariance import checks
+from test_operad import group_action
 from operadforge import comb, operad, terms
 from operadforge.normalize import Verdict
 
@@ -25,7 +26,7 @@ def test_checks_and_axiom_rows_leave_no_cyclic_garbage():
     try:
         for f, gs, s in checks(200, seed=3):
             assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
-            acted = operad.group_action(f, s, comb.BCPMI).elem
+            acted = group_action(f, s, comb.BCPMI).elem
             comb.format_cterm(acted)
             terms.pretty(comb.comb_normal_form(acted, comb.BCPMI))
         for sig in comb.SIGNATURES.values():

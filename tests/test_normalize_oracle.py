@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import normalize_oracle as oracle
-from test_equivariance import checks, mirror, raw
+from test_equivariance import checks, law_sides, mirrored_cable
 from operadforge import comb, operad
 from operadforge import normalize as normalize_module
 from operadforge.acceptance import _words
-from operadforge.braids import BraidWord, braid_inverse, cable, permute_contents
+from operadforge.braids import BraidWord, braid_inverse, permute_contents
 from operadforge.normalize import Verdict, canon_braids, canonical_equal, normalize
 from operadforge.terms import (
     App,
@@ -157,22 +157,21 @@ def test_braided_strategies_agree(case):
     assert_strategies_agree(*_shaped(BR, c1, c2, shape))
 
 
-def test_criterion_11_strategies_agree(monkeypatch):
+def test_criterion_11_strategies_agree():
     """The law's lhs in each of criterion 11's 633 cells, on sample 0 of
     the seed-0 pools, with every element itself.  A walk that required
     equal slot words called 246 of the 633 NotEqual."""
     sides = []
-    monkeypatch.setattr(operad, "comb_equal", lambda lhs, rhs, sig, fuel=None: sides.append(lhs))
     rng = random.Random(0)
     pools = {m: [operad.sample_operad_elem(m, comb.BCPMI, rng) for _ in range(8)] for m in range(4)}
     for k in (1, 2, 3):
         for word in _words(k, 2):
             for js in itertools.product((0, 1, 2), repeat=k):
                 gs = [pools[j][(off + 1) % 8] for off, j in enumerate(js)]
-                operad.check_equivariance(pools[k][0], gs, BraidWord(k, word), comb.BCPMI)
+                sides.append(law_sides(pools[k][0], gs, BraidWord(k, word), comb.BCPMI)[0])
     assert len(sides) == 633
     for lhs in sides:
-        assert_strategies_agree(comb.to_lambda(raw(lhs), BR))
+        assert_strategies_agree(comb.to_lambda(lhs, BR))
 
 
 @settings(max_examples=80, deadline=None)
@@ -655,15 +654,12 @@ def test_canonical_equal_matches_canonical_forms(monkeypatch):
     the two procedures then agree on.  The mirror cells give NotEqual verdicts
     between equal skeletons, which only the slot words decide."""
     sides = []
-    monkeypatch.setattr(
-        operad, "comb_equal", lambda lhs, rhs, sig, fuel=None: sides.append((lhs, rhs))
-    )
     for f, gs, s in checks(300, seed=2):
-        operad.check_equivariance(f, gs, s, comb.BCPMI)
+        sides.append(law_sides(f, gs, s, comb.BCPMI))
         with monkeypatch.context() as m:
-            m.setattr(operad, "cable", lambda s, widths: cable(mirror(s), widths))
-            operad.check_equivariance(f, gs, s, comb.BCPMI)
-    pairs = [tuple(comb.comb_normal_form(raw(c), comb.BCPMI) for c in side) for side in sides]
+            m.setattr(operad, "cable", mirrored_cable)
+            sides.append(law_sides(f, gs, s, comb.BCPMI))
+    pairs = [tuple(comb.comb_normal_form(c, comb.BCPMI) for c in side) for side in sides]
     by_size = {}
     for n in itertools.chain.from_iterable(pairs):
         by_size.setdefault(n.size, []).append(n)

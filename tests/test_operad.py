@@ -29,8 +29,8 @@ from operadforge.operad import (
     check_equivariance,
     closed_lambda,
     eta_eps,
+    action_word,
     evaluate,
-    group_action,
     has_arity,
     in_internal_operad,
     infer_arity,
@@ -42,6 +42,16 @@ from operadforge.operad import (
 )
 
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
+
+
+def group_action(f: OperadElem, s: BraidWord, sig) -> OperadElem:
+    """The action f . s of a braid (or permutation) word on an operad element:
+    the word's action element, then f."""
+    if s.strands != f.m:
+        raise ArityError(f"word on {s.strands} strands cannot act at arity {f.m}")
+    if not s.letters:
+        return f
+    return OperadElem(compose(action_word(s, sig), f.elem), f.m)
 
 
 class TestHasArity:
