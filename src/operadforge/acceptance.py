@@ -62,7 +62,12 @@ _B3_RELATIONS = (
 )
 
 
-def _relator_search_trivial(word: tuple[int, ...], depth: int = 6, cap: int = 8) -> bool:
+# `_relator_search_trivial`'s bounds: moves per proof, letters per word.
+_SEARCH_DEPTH = 6
+_SEARCH_CAP = 8
+
+
+def _relator_search_trivial(word: tuple[int, ...]) -> bool:
     """Breadth-first proof search for triviality in B3.
 
     Moves: cancel an adjacent inverse pair, insert one, or rewrite by a braid
@@ -80,7 +85,7 @@ def _relator_search_trivial(word: tuple[int, ...], depth: int = 6, cap: int = 8)
         w, d = frontier.popleft()
         if not w:
             return True
-        if d >= depth:
+        if d >= _SEARCH_DEPTH:
             continue
         nexts = []
         for i in range(len(w) - 1):
@@ -90,7 +95,7 @@ def _relator_search_trivial(word: tuple[int, ...], depth: int = 6, cap: int = 8)
             for i in range(len(w) - len(lhs) + 1):
                 if w[i : i + len(lhs)] == lhs:
                     nexts.append(w[:i] + rhs + w[i + len(lhs) :])
-        if len(w) + 2 <= cap:
+        if len(w) + 2 <= _SEARCH_CAP:
             for i in range(len(w) + 1):
                 for a in letters:
                     nexts.append(w[:i] + (a, -a) + w[i:])

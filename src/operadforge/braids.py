@@ -174,8 +174,6 @@ def braid_is_trivial(u: BraidWord) -> bool:
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
-    if u.strands != v.strands:
-        raise DimensionError(f"strand mismatch: {u.strands} vs {v.strands}")
     return braid_is_trivial(braid_compose(u, braid_inverse(v)))
 
 

@@ -657,9 +657,13 @@ def _gen(sig: Signature, rng: random.Random, depth: int) -> CTerm:
     return CApp(_gen(sig, rng, depth - 1), _gen(sig, rng, depth - 1))
 
 
-def _normalizes(t: CTerm, sig: Signature, fuel: int = 400) -> bool:
+# The step bound under which a cartesian sample must normalize.
+_SAMPLE_FUEL = 400
+
+
+def _normalizes(t: CTerm, sig: Signature) -> bool:
     try:
-        comb_normal_form(t, sig, fuel=fuel)
+        comb_normal_form(t, sig, fuel=_SAMPLE_FUEL)
         return True
     except FuelExhausted:
         return False

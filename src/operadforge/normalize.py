@@ -10,14 +10,9 @@ is used once, every contraction strictly shrinks the term, normalization
 needs no fuel, and a head abstraction's binder group is contracted with
 every argument it can take in one traversal of its body
 (`terms.beta_step_at`), which leaves the term as contracting its binders
-one at a time would.  A proper combinator given all of its arguments (a
-group whose body is a braid-free, abstraction-free application tree of its
-binders, each used once, such as B and I) is contracted by its rewrite rule
-instead: the arguments are filled into the tree, a template kept on the
-abstraction (`terms.fill_template`), which builds the same reduct without
-a traversal.  The cartesian discipline contracts one binder at a time,
-counts its steps against a fuel bound and its size against a cap, and
-reports exhaustion.
+one at a time would.  The cartesian discipline contracts one binder at a
+time, counts its steps against a fuel bound and its size against a cap,
+and reports exhaustion.
 
 Braided terms keep their braid nodes in canonical slots: directly under the
 innermost binder of each binder group, or at the root.  Reducts are built
@@ -93,9 +88,7 @@ from .terms import (
     canon_app,
     canon_wrap,
     check_discipline,
-    fill_template,
     shift,
-    template_arity,
     wires,
 )
 
@@ -211,10 +204,9 @@ class _NormalOrder:
     arguments it can in one `beta_step_at`, whose reduct is that of the
     single contractions; it comes out canonical and the braid it sheds is
     lifted into its slot (`_Slot.shed`), which leaves the term exactly as
-    canonicalizing it whole after each step would.  A saturated proper
-    combinator is filled in (`fill_template`) instead, which gives the same
-    reduct.  The pass expects a checked term, in which each exactly-once
-    binder occurs once; `_contract` asserts it of every group it contracts.
+    canonicalizing it whole after each step would.  The pass expects a
+    checked term, in which each exactly-once binder occurs once; `_contract`
+    asserts it of every group it contracts.
     With `fuel` set (cartesian) each step contracts one binder, the steps
     are counted and the whole term's size is kept up to date against
     SIZE_CAP.  Eta contractions are not counted against it: they shrink
@@ -280,19 +272,11 @@ class _NormalOrder:
 
     def _contract(self, fn: Lam, stack: list, slot: _Slot, right: tuple) -> LTerm:
         """Contract fn's leading binders with the arguments on top of the
-        stack, and pop those arguments.  Exactly-once: a proper combinator
-        given all of its arguments, by its rewrite rule (`fill_template`),
-        whose reduct sheds no braid, since no stacked argument is a braid
-        node (the pass's applications are canonical); otherwise the g >= 1
-        binders of fn's group that have an argument, in one `beta_step_at`,
-        which must find each of them once.  Counting fuel: one binder,
-        since fuel and SIZE_CAP are charged per step."""
+        stack, and pop those arguments.  Exactly-once: the g >= 1 binders
+        of fn's group that have an argument, in one `beta_step_at`, which
+        must find each of them once.  Counting fuel: one binder, since fuel
+        and SIZE_CAP are charged per step."""
         if self.fuel is None:
-            g = template_arity(fn)
-            if g and g <= len(stack):
-                r = fill_template(fn, stack[: -g - 1 : -1])
-                del stack[-g:]
-                return r
             g, body = 1, fn.body
             while g < len(stack) and type(body) is Lam:
                 g, body = g + 1, body.body

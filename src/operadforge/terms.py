@@ -82,8 +82,6 @@ class DisciplineError(TermError):
 #                it returns.
 # * checked   -- bit mask of the disciplines whose node rules t and every
 #                node under it passed (`_check`); a pure function of the node.
-# * _template -- Lam only, on first use: the contraction template of the
-#                binder group the Lam heads (`template_arity`).
 #
 # All of these are pure functions of the node, so nodes shared between terms
 # (the images of recurring combinators, say) share them too.
@@ -154,14 +152,13 @@ class Const(LTerm):
 
 
 class Lam(LTerm):
-    __slots__ = ("body", "_template")
+    __slots__ = ("body",)
 
     def __init__(self, body: LTerm):
         self.body = body
         self._hash = None
         self.size = 1 + body.size
         self._wires = None
-        self._template = None
         m = body.max_free  # max(m - 1, 0), without the call: nodes are built often
         self.max_free = m - 1 if m else 0
         self.canon = body.canon
@@ -437,68 +434,6 @@ def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int])
                 braid = cable(braid, widths)
         return canon_wrap(braid, _subst(t.body, depth, g, args, uses))
     raise TermError(f"unknown node {t!r}")
-
-
-# A proper combinator's contraction is its rewrite rule: B a b c = a (b c),
-# I a = a.  A Lam heads a proper combinator when the body under its whole
-# binder group is an application tree of the binders, each used exactly once,
-# with no braid node, no abstraction, no constant and no other free variable.
-# Its template is that tree with each leaf replaced by its binder's argument
-# position: an int, or a (fn, arg) pair for an application.
-
-def template_arity(fn: Lam) -> int:
-    """The number of binders of fn's group when fn heads a proper
-    combinator, else 0."""
-    return _template(fn)[0]
-
-
-def _template(fn: Lam) -> tuple:
-    """(g, template), or (0, None) when fn heads no proper combinator; found
-    once per node."""
-    tpl = fn._template
-    if tpl is None:
-        tpl = fn._template = _find_template(fn)
-    return tpl
-
-
-def _find_template(fn: Lam) -> tuple:
-    g, body = 0, fn
-    while type(body) is Lam:
-        g, body = g + 1, body.body
-    # a tree with g leaves has 2g - 1 nodes; closed, its variables are binders
-    if fn.max_free or body.size != 2 * g - 1:
-        return 0, None
-    tree = _tree(body, g, set())
-    return (0, None) if tree is None else (g, tree)
-
-
-def _tree(t: LTerm, g: int, seen: set[int]):
-    """`_find_template`'s template of t, under a group of g binders, or None
-    when t is not an application tree of binders not in `seen` (each leaf
-    met is added)."""
-    if type(t) is App:
-        fn, arg = _tree(t.fn, g, seen), _tree(t.arg, g, seen)
-        return None if fn is None or arg is None else (fn, arg)
-    if type(t) is not Var or t.index in seen:
-        return None
-    seen.add(t.index)
-    return g - 1 - t.index  # binder x(j+1) takes argument j
-
-
-def fill_template(fn: Lam, args: Sequence[LTerm]) -> LTerm:
-    """Contract (\\x1 … xg. M) a1 … ag for an fn that heads a proper
-    combinator of g binders (`template_arity`): M's tree with each xi
-    replaced by ai, unshifted, since M has no binder of its own.  When no
-    argument is a braid node (no argument of a canonical application is),
-    this is `beta_step_at(fn, args)`'s reduct, canonical when the args are,
-    and each binder is used once."""
-    return _fill(_template(fn)[1], args)
-
-
-def _fill(tree, args: Sequence[LTerm]) -> LTerm:
-    if type(tree) is int:
-        return args[tree]
-    return App(_fill(tree[0], args), _fill(tree[1], args))
 
 
 # -- discipline checking ------------------------------------------------------

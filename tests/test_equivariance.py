@@ -156,28 +156,20 @@ def test_linear_verdicts_match_the_raw_sides(monkeypatch):
 
 def test_contraction_and_traversal_counts(monkeypatch):
     """A tripwire for the work normalization does: a binder group takes its
-    arguments in one traversal, a saturated proper combinator is contracted
-    by filling in its template, with no traversal, the binders contracted
-    match what contracting one binder per traversal contracts, and each
-    part is normalized once (the cache starts empty, see conftest.py)."""
-    traverse, fill = normalize_module.beta_step_at, normalize_module.fill_template
-    counts = {"traversals": 0, "templates": 0, "binders": 0}
+    arguments in one traversal, the binders contracted match what
+    contracting one binder per traversal contracts, and each part is
+    normalized once (the cache starts empty, see conftest.py)."""
+    traverse = normalize_module.beta_step_at
+    counts = {"traversals": 0, "binders": 0}
 
-    def counted(key, contract):
-        def counting(fn, args):
-            counts[key] += 1
-            counts["binders"] += len(args)
-            return contract(fn, args)
+    def counting(fn, args):
+        counts["traversals"] += 1
+        counts["binders"] += len(args)
+        return traverse(fn, args)
 
-        return counting
-
-    monkeypatch.setattr(normalize_module, "beta_step_at", counted("traversals", traverse))
-    monkeypatch.setattr(normalize_module, "fill_template", counted("templates", fill))
+    monkeypatch.setattr(normalize_module, "beta_step_at", counting)
     for f, gs, s in checks(150, seed=1):
         assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
-    # one traversal per group made 2,928 traversals, and one binder per
-    # traversal 6,483 (the stepping oracle, tests/normalize_oracle.py, on
-    # the same 426 normalize inputs); combinator sides with each element
-    # entered as its normal form made 2,349 traversals, 2,189 templates and
-    # 10,627 binders, and with each element itself 3,727, 6,572 and 24,569
-    assert counts == {"traversals": 2_216, "templates": 712, "binders": 6_483}
+    # one binder per traversal makes 6,483 traversals (the stepping oracle,
+    # tests/normalize_oracle.py, on the same 426 normalize inputs)
+    assert counts == {"traversals": 2_928, "binders": 6_483}

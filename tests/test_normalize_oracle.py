@@ -3,8 +3,7 @@
 Both must contract the same redexes: same normal form (`==` and printed),
 same exception type and message, and the same number of contractions.  The
 oracle contracts one binder per `beta_step_at` call; the normalizer's
-`beta_step_at` and `fill_template` contract a binder per argument they are
-given.
+`beta_step_at` contracts a binder per argument it is given.
 """
 
 import itertools
@@ -34,11 +33,9 @@ from operadforge.terms import (
     beta_step_at,
     bind_context,
     check_discipline,
-    fill_template,
     lams,
     parse,
     pretty,
-    template_arity,
     wires,
 )
 
@@ -55,27 +52,20 @@ def _outcome(call):
 
 def _run(module, call):
     """(outcome, contractions) of call(), counting the binders that
-    module.beta_step_at contracts, and for the normalizer those that
-    fill_template contracts."""
+    module.beta_step_at contracts."""
     count = 0
-    names = ("beta_step_at",) if module is oracle else ("beta_step_at", "fill_template")
-    saved = {name: getattr(module, name) for name in names}
+    contract = module.beta_step_at
 
-    def counted(contract):
-        def counting(fn, args):
-            nonlocal count
-            count += 1 if module is oracle else len(args)
-            return contract(fn, args)
+    def counting(fn, args):
+        nonlocal count
+        count += 1 if module is oracle else len(args)
+        return contract(fn, args)
 
-        return counting
-
-    for name, contract in saved.items():
-        setattr(module, name, counted(contract))
+    module.beta_step_at = counting
     try:
         out = _outcome(call)
     finally:
-        for name, contract in saved.items():
-            setattr(module, name, contract)
+        module.beta_step_at = contract
     return out, count
 
 
@@ -565,9 +555,10 @@ def saturated(draw):
 @settings(max_examples=300, deadline=None)
 @given(saturated())
 def test_template_matches_traversal_and_oracle(case):
-    g, fn, t, d, ctx = case
+    """A saturated proper combinator's group is contracted in one traversal
+    that uses each binder once, and the pass agrees with the oracle."""
+    g, _, t, d, ctx = case
     check_discipline(t, d, ctx)
-    assert template_arity(fn) == g
     # the canonical arguments, open ones with their context variables bound
     spine = canon_braids(bind_context(t, ctx))
     args = []
@@ -577,13 +568,12 @@ def test_template_matches_traversal_and_oracle(case):
     args = args[::-1][:g]
     assert all(type(a) is not BraidNode for a in args)
     reduct, uses = beta_step_at(spine, args)
-    assert uses == [1] * g
-    filled = fill_template(spine, args)
-    assert filled == reduct and filled.canon
+    assert uses == [1] * g and reduct.canon
     assert assert_same(t, d, ctx=ctx)[0] == "ok"
 
 
-NO_TEMPLATE = {
+# groups that are not proper combinators
+NOT_PROPER = {
     "binder twice": r"\x y. x y y",
     "binder twice, one unused": r"\x y. x x",
     "binder unused": r"\f x. f",
@@ -593,52 +583,28 @@ NO_TEMPLATE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NO_TEMPLATE))
-def test_no_template_takes_the_traversal(name, monkeypatch):
-    fn = parse(NO_TEMPLATE[name])
-    assert template_arity(fn) == 0
+@pytest.mark.parametrize("name", sorted(NOT_PROPER))
+def test_no_template_takes_the_traversal(name):
     g = 3 if name == "braid node" else 2
-    t = app(fn, *(Const(f"k{i}") for i in range(g)))
-    _assert_path(t, CA if name.startswith("binder") else BR, monkeypatch, 0)
+    t = app(parse(NOT_PROPER[name]), *(Const(f"k{i}") for i in range(g)))
+    assert assert_same(t, CA if name.startswith("binder") else BR)[0] == "ok"
 
 
-def test_outer_free_variable_takes_the_traversal(monkeypatch):
-    # a tree over binders and a variable z bound outside: no template
-    for t in (Lam(Var(1)), lams(2, App(Var(1), Var(2))), lams(2, App(Var(2), Var(0)))):
-        assert template_arity(t) == 0
+def test_outer_free_variable_takes_the_traversal():
+    # a tree over binders and a variable z bound outside, applied under \z
+    for fn in (Lam(Var(1)), lams(2, App(Var(1), Var(2))), lams(2, App(Var(2), Var(0)))):
+        t = Lam(app(fn, Const("k"), Const("m")))
+        assert assert_same(t, CA)[0] == "ok"
     # \y. y z inside \z
-    inner = Lam(App(Var(0), Var(1)))
-    assert template_arity(inner) == 0
-    t = Lam(App(inner, Const("k")))
-    assert template_arity(t) == 0
-    _assert_path(t, L, monkeypatch, 0)
+    t = Lam(App(Lam(App(Var(0), Var(1))), Const("k")))
+    assert assert_same(t, L)[0] == "ok"
 
 
-def test_partial_group_takes_the_traversal(monkeypatch):
+def test_partial_group_takes_the_traversal():
     # B with two of its three arguments, then with all three
     b = comb.to_lambda(comb.B, P)
-    assert template_arity(b) == 3
-    _assert_path(parse(r"\z. (\f x y. f (x y)) k m z"), P, monkeypatch, 1)
-    _assert_path(app(b, Const("k"), Const("m")), P, monkeypatch, 0)
-
-
-def _assert_path(t, d, monkeypatch, templates):
-    """Normalize t as the oracle does, filling in `templates` templates and
-    contracting the rest by traversal."""
-    calls = {"fill_template": 0, "beta_step_at": 0}
-    with monkeypatch.context() as m:
-        for name in calls:
-            contract = getattr(normalize_module, name)
-
-            def spy(fn, args, name=name, contract=contract):
-                calls[name] += 1
-                return contract(fn, args)
-
-            m.setattr(normalize_module, name, spy)
-        got = normalize(t, d)
-    assert calls["fill_template"] == templates and calls["beta_step_at"] >= 1 - templates
-    want = oracle.normalize(t, d)
-    assert got == want and pretty(got) == pretty(want)
+    assert assert_same(parse(r"\z. (\f x y. f (x y)) k m z"), P)[0] == "ok"
+    assert assert_same(app(b, Const("k"), Const("m")), P)[0] == "ok"
 
 
 # -- equality of normal forms ------------------------------------------------------
