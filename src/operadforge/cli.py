@@ -347,6 +347,3 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input nests too deeply", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

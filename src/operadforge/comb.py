@@ -56,7 +56,7 @@ _SIGNATURE_FACTS = {
 }
 
 # The primitives that have a lambda image in each discipline.
-DISCIPLINE_PRIMITIVES = {d: prims for d, prims in _SIGNATURE_FACTS.values()}
+DISCIPLINE_PRIMITIVES = {d: names for d, names in _SIGNATURE_FACTS.values()}
 
 
 @dataclass(frozen=True)
@@ -99,33 +99,8 @@ SIGNATURES = {
 
 
 # -- combinator terms -------------------------------------------------------------
-# Each node keeps the set of primitives it uses (`_prims`) and its lambda
-# image (`_image`, see `to_lambda`) once computed.  They are kept in the
-# instance dict outside the dataclass fields, so `==`, `hash`, `repr` and
-# `asdict` do not see them; they live and die with the node.  A recurring
-# subexpression is thus translated once, and its image, being one shared
-# term, is checked and measured once too.
 
 PRIM_NAMES = ("B", "C", "C+", "C-", "I", "W", "K", "Tr")
-
-
-class _cached:
-    """An attribute computed on first read and stored in the instance dict,
-    where later reads find it without a call: `functools.cached_property`
-    without its lock, which before Python 3.12 costs a first read several
-    times what building one node's image does."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -136,51 +111,21 @@ class Prim:
         if self.name not in PRIM_NAMES:
             raise CombError(f"unknown primitive {self.name!r}")
 
-    @_cached
-    def _prims(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
-    @property
-    def _image(self) -> LTerm:
-        return _PRIM_LAMBDA[self.name]
-
 
 @dataclass(frozen=True)
 class CApp:
     fn: "CTerm"
     arg: "CTerm"
 
-    @_cached
-    def _prims(self) -> frozenset[str]:
-        return self.fn._prims | self.arg._prims
-
-    @_cached
-    def _image(self) -> LTerm:
-        return LApp(self.fn._image, self.arg._image)
-
 
 @dataclass(frozen=True)
 class Bullet:
     arg: "CTerm"
 
-    @_cached
-    def _prims(self) -> frozenset[str]:
-        return self.arg._prims
-
-    @_cached
-    def _image(self) -> LTerm:
-        return terms.Lam(LApp(terms.Var(0), terms.shift(self.arg._image, 1)))
-
 
 @dataclass(frozen=True)
 class ConstRef:
     name: str
-
-    _prims = frozenset()
-
-    @_cached
-    def _image(self) -> LTerm:
-        return LConst(self.name)
 
 
 CTerm = Prim | CApp | Bullet | ConstRef
@@ -217,6 +162,21 @@ def b_power_apply(k: int, t: CTerm) -> CTerm:
     for _ in range(k):
         t = CApp(B, t)
     return t
+
+
+def prims(c: CTerm) -> frozenset[str]:
+    """The primitives c uses."""
+    used = set()
+    todo = [c]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, CApp):
+            todo += (u.fn, u.arg)
+        elif isinstance(u, Prim):
+            used.add(u.name)
+        elif isinstance(u, Bullet):
+            todo.append(u.arg)
+    return frozenset(used)
 
 
 def check_signature(used: frozenset[str], sig: Signature) -> None:
@@ -375,27 +335,20 @@ _PRIM_LAMBDA = {name: terms.parse(src) for name, src in _PRIM_LAMBDA_SRC.items()
 
 
 def to_lambda(c: CTerm, d: Discipline) -> LTerm:
-    """Lambda image of a combinator expression in discipline d.  The image
-    is the same term in every discipline that c's primitives fit, built once
-    per node; a primitive that does not fit d, the first in preorder, is an
-    error."""
-    fit = DISCIPLINE_PRIMITIVES[d]
-    if c._prims <= fit:
-        return c._image
-    name = _first_unfit(c, fit)
-    if name == "Tr":
-        raise UnsupportedTrace("Tr has no lambda image")
-    raise CombError(f"primitive {name} does not fit the {d.value} discipline")
-
-
-def _first_unfit(c: CTerm, fit: frozenset[str]) -> Optional[str]:
-    if c._prims <= fit:
-        return None
-    if isinstance(c, Prim):
-        return c.name
-    if isinstance(c, CApp):
-        return _first_unfit(c.fn, fit) or _first_unfit(c.arg, fit)
-    return _first_unfit(c.arg, fit)
+    """Lambda image of a combinator expression in discipline d, translated
+    function before argument; a primitive that does not fit d, the first in
+    preorder, is an error.  Every primitive's image is one shared term."""
+    if type(c) is CApp:
+        return LApp(to_lambda(c.fn, d), to_lambda(c.arg, d))
+    if type(c) is Prim:
+        if c.name in DISCIPLINE_PRIMITIVES[d]:
+            return _PRIM_LAMBDA[c.name]
+        if c.name == "Tr":
+            raise UnsupportedTrace("Tr has no lambda image")
+        raise CombError(f"primitive {c.name} does not fit the {d.value} discipline")
+    if type(c) is Bullet:
+        return terms.Lam(LApp(terms.Var(0), terms.shift(to_lambda(c.arg, d), 1)))
+    return LConst(c.name)
 
 
 def from_lambda_applicative(t: LTerm) -> CTerm:
@@ -415,7 +368,7 @@ def comb_equal(
 ) -> Verdict:
     """Equality in the free extensional algebra of the signature, decided by
     beta/eta equality of the lambda images."""
-    used = (c1._prims, c2._prims)
+    used = (prims(c1), prims(c2))
     if any("Tr" in u for u in used):
         raise UnsupportedTrace("equality involving Tr is not supported")
     for u in used:
@@ -612,7 +565,7 @@ def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
         p = _abstract_last(p, sig, m)
         m -= 1
     out = poly_value(p)
-    check_signature(out._prims, sig)
+    check_signature(prims(out), sig)
     return out
 
 

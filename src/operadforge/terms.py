@@ -69,10 +69,10 @@ class DisciplineError(TermError):
 
 # -- term nodes ---------------------------------------------------------------
 # Hand-rolled immutable nodes.  Sizes and free-index bounds are computed at
-# construction; hashes and wire lists on first use, since most intermediate
-# reducts are never hashed.  Each class defines `__eq__`, so it restores
-# `LTerm.__hash__`, which Python would otherwise set to None.  More slots
-# serve the normalizer and the checker:
+# construction and wire lists on first use; a hash is computed on each call,
+# since nothing in the package hashes a term.  Each class defines `__eq__`, so
+# it restores `LTerm.__hash__`, which Python would otherwise set to None.
+# More slots serve the normalizer and the checker:
 #
 # * canon     -- the term is in canonical braid placement (see `canon_app`).
 #                Lam and App derive it from their children; a BraidNode is
@@ -84,7 +84,7 @@ class DisciplineError(TermError):
 #                node under it passed (`_check`); a pure function of the node.
 #
 # All of these are pure functions of the node, so nodes shared between terms
-# (the images of recurring combinators, say) share them too.
+# (the images of the combinator primitives, say) share them too.
 #
 # Everything else a call builds must be freed by reference counting when the
 # call returns, since normalization builds many short-lived reducts.  So no
@@ -97,17 +97,11 @@ class DisciplineError(TermError):
 
 class LTerm:
     # max_free: one more than the largest free de Bruijn index (0 if closed).
-    __slots__ = ("_hash", "size", "_wires", "max_free", "canon", "checked")
+    __slots__ = ("size", "_wires", "max_free", "canon", "checked")
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # the node's class and the fields its own class declares (a
-            # leading underscore marks a cache, not a field)
-            h = self._hash = hash(
-                (type(self), *[getattr(self, f) for f in self.__slots__ if f[0] != "_"])
-            )
-        return h
+        # the node's class and the fields its own class declares
+        return hash((type(self), *[getattr(self, f) for f in self.__slots__]))
 
     def __repr__(self) -> str:
         return f"<{pretty(self)}>"
@@ -120,7 +114,6 @@ class Var(LTerm):
         if index < 0:
             raise TermError("negative de Bruijn index")
         self.index = index
-        self._hash = None
         self.size = 1
         self._wires = (index,)
         self.max_free = index + 1
@@ -138,7 +131,6 @@ class Const(LTerm):
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = None
         self.size = 1
         self._wires = ()
         self.max_free = 0
@@ -156,7 +148,6 @@ class Lam(LTerm):
 
     def __init__(self, body: LTerm):
         self.body = body
-        self._hash = None
         self.size = 1 + body.size
         self._wires = None
         m = body.max_free  # max(m - 1, 0), without the call: nodes are built often
@@ -176,7 +167,6 @@ class App(LTerm):
     def __init__(self, fn: LTerm, arg: LTerm):
         self.fn = fn
         self.arg = arg
-        self._hash = None
         self.size = 1 + fn.size + arg.size
         self._wires = None
         a, b = fn.max_free, arg.max_free
@@ -198,7 +188,6 @@ class BraidNode(LTerm):
     def __init__(self, braid: BraidWord, body: LTerm, canon: bool = False):
         self.braid = braid
         self.body = body
-        self._hash = None
         self.size = 1 + body.size
         self._wires = None
         self.max_free = body.max_free

@@ -1,7 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import operadforge
 from operadforge.cli import main
 
 
@@ -281,3 +290,82 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out.startswith("usage: operadforge")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(operadforge.__file__).parent.parent))
+        argv = [sys.executable, "-m", "operadforge", "braid", "eq", "{3; 1 2 1}", "{3; 2 1 2}"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stdout == "Equal\n"
+
+
+# Well-formed sources that the fuzz below mangles, and the characters it
+# inserts into them and deletes from them.
+_LAMBDA_SOURCES = [
+    r"(\f. f) (\x. x)",
+    r"\f x y. f (x y)",
+    r"\f x y. [{3; 1 -2}] (f y x)",
+    r"(\x. x x) (\x. x x)",
+    "C+ M N",
+    "Tr M",
+]
+_COMB_SOURCES = ["B", "C+ o B", "a* o I", "x1 x0", "B (C I) x0", "Tr (C+ o C+)", "W K I"]
+_BRAID_SOURCES = ["{3; 1 2 1}", "{4; -3 2 1}", "{2;}", "{0;}"]
+_SYNTAX = "\\.()[]{};*+- 0123456789o"
+
+
+@st.composite
+def _mangled(draw, sources):
+    text = draw(st.sampled_from(sources))
+    for _ in range(draw(st.integers(0, 3))):
+        at = [i for i, ch in enumerate(text) if ch in _SYNTAX]
+        if at and draw(st.booleans()):
+            i = draw(st.sampled_from(at))
+            text = text[:i] + text[i + 1:]
+        else:
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(_SYNTAX)) + text[i:]
+    return text
+
+
+def _flat(parts):
+    return [x for part in parts for x in (part if isinstance(part, list) else [part])]
+
+
+def _invocations():
+    """argv for one command on mangled sources, and the text on stdin, which
+    a `-` argument reads."""
+    d = st.sampled_from(["planar", "linear", "braided", "cartesian"])
+    s = st.sampled_from(["bibullet", "bci", "bcpmi", "bciwk"])
+    lam, cterm, braid = (_mangled(src) for src in (_LAMBDA_SOURCES, _COMB_SOURCES, _BRAID_SOURCES))
+    lam_in, cterm_in = (st.one_of(src, st.just("-")) for src in (lam, cterm))
+    ops = st.sampled_from(["eq", "perm", "sum", "trivial", "inverse"])
+    argv = st.one_of(
+        st.tuples(st.just("norm"), st.just("-d"), d, lam_in),
+        st.tuples(st.just("eq"), st.just("-d"), d, lam_in, lam_in),
+        st.tuples(st.just("eq"), st.just("-s"), s, cterm_in, cterm_in),
+        st.tuples(st.just("abstract"), st.just("-s"), s, cterm_in),
+        st.tuples(st.just("arity"), st.just("--bound"), st.just("1"), st.just("-s"), s, cterm_in),
+        st.tuples(st.just("member"), st.just("-s"), s, cterm_in, st.integers(-1, 3).map(str)),
+        st.tuples(st.just("compose"), st.just("--bound"), st.just("1"), st.just("-s"), s, cterm,
+                  st.lists(cterm, min_size=1, max_size=3)),
+        st.tuples(st.just("braid"), ops, st.lists(braid, min_size=1, max_size=3)),
+        st.tuples(st.just("braid"), st.just("cable"), braid,
+                  st.lists(st.integers(-1, 3).map(str), max_size=4)),
+    ).map(_flat)
+    return st.tuples(argv, st.one_of(lam, cterm))
+
+
+class TestExitCodes:
+    """Mangled input gets an exit code, never an escaping exception.  Widths
+    large enough to exhaust memory are not drawn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_invocations())
+    def test_mangled_input_exits_0_to_3(self, case):
+        argv, stdin = case
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()):
+            mp.setattr(sys, "stdin", io.StringIO(stdin))
+            assert main(["--fuel", "50", *argv]) in (0, 1, 2, 3)

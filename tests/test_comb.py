@@ -184,25 +184,18 @@ def _outcome(call):
 
 
 class TestTranslationCache:
-    """Each expression node keeps its primitive set and its image."""
+    """The translation agrees with the reference walk above."""
 
     @settings(max_examples=200, deadline=None)
     @given(_any_cterms())
     def test_image_and_errors_match_the_walk(self, c):
-        # copies of c: one fresh for each discipline, so that its caches
-        # start empty, and one shared by all four
+        # copies of c: one fresh for each discipline, and one shared by all
+        # four
         shared = parse_cterm(format_cterm(c))
         for d in Discipline:
             want = _outcome(lambda: _walk_image(c, d))
             assert _outcome(lambda: to_lambda(parse_cterm(format_cterm(c)), d)) == want
             assert _outcome(lambda: to_lambda(shared, d)) == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(_any_cterms())
-    def test_one_image_for_every_fitting_discipline(self, c):
-        fits = [d for d in Discipline if c._prims <= comb.DISCIPLINE_PRIMITIVES[d]]
-        images = [to_lambda(c, d) for d in fits]
-        assert all(image is images[0] for image in images)
 
     def test_first_unfit_primitive_in_preorder(self):
         cases = [
@@ -216,35 +209,10 @@ class TestTranslationCache:
         ]
         for src, d, error, message in cases:
             c = parse_cterm(src)
-            for _ in range(2):  # the second time from the cached primitive sets
+            for _ in range(2):  # a translation leaves nothing behind
                 with pytest.raises(error) as caught:
                     to_lambda(c, d)
                 assert type(caught.value) is error and str(caught.value) == message
-
-    def test_second_comparison_checks_only_new_nodes(self, monkeypatch):
-        rng = random.Random(5)
-        p, q = sample_closed(BCPMI, rng), sample_closed(BCPMI, rng)
-        assert comb_equal(capp(B, p, q), capp(B, q, p), BCPMI) in Verdict
-        # the same expressions built anew: only their two spine applications
-        # on each side are new lambda nodes
-        lhs, rhs = capp(Prim("B"), p, q), capp(Prim("B"), q, p)
-        seen = []
-        check = terms._check
-        bit = terms._CHECK_BIT[Discipline.BRAIDED]
-
-        def spy(t, d, bit_):
-            if not t.checked & bit:
-                seen.append(t)
-            return check(t, d, bit_)
-
-        monkeypatch.setattr(terms, "_check", spy)
-        comb_equal(lhs, rhs, BCPMI)
-        spine = [u for c in (lhs, rhs) for u in (to_lambda(c, Discipline.BRAIDED),
-                                                  to_lambda(c.fn, Discipline.BRAIDED))]
-        assert len(seen) == 4 and all(any(u is v for v in spine) for u in seen)
-        seen.clear()
-        comb_equal(lhs, rhs, BCPMI)
-        assert seen == []
 
 
 class TestCombEqual:
@@ -436,7 +404,7 @@ class TestClassicalDuplicator:
         assert comb_equal(capp(W, a, b), capp(a, b, b), BCIWK) is Verdict.EQUAL
 
     def test_word_uses_only_permitted_primitives(self):
-        assert derive_classical_S()._prims <= {"B", "C", "I", "W"}
+        assert comb.prims(derive_classical_S()) <= {"B", "C", "I", "W"}
 
 
 class TestSampler:
@@ -450,7 +418,7 @@ class TestSampler:
         rng = random.Random(2)
         for sig in (BIBULLET, BCI, BCPMI, BCIWK):
             for _ in range(20):
-                assert sample_closed(sig, rng)._prims <= sig.primitives
+                assert comb.prims(sample_closed(sig, rng)) <= sig.primitives
 
     def test_bug_in_screening_is_raised_not_redrawn(self, monkeypatch):
         real = comb.comb_normal_form
