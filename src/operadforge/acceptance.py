@@ -20,6 +20,7 @@ from .braids import (
     braid_equal,
     braid_is_trivial,
     cable,
+    exponent_sum,
     parse_braid,
     underlying_permutation,
 )
@@ -74,9 +75,8 @@ def _relator_search_trivial(word: tuple[int, ...]) -> bool:
     relation.  Exponent sum and the underlying permutation prune soundly.
     Independent of handle reduction.
     """
-    if sum(1 if a > 0 else -1 for a in word) != 0:
-        return False
-    if not underlying_permutation(BraidWord(3, word)).is_identity():
+    u = BraidWord(3, word)
+    if exponent_sum(u) != 0 or not underlying_permutation(u).is_identity():
         return False
     seen = {word}
     frontier = deque([(word, 0)])
@@ -177,7 +177,7 @@ def criterion_6(samples: int, seed: int, fuel: int) -> Result:
     while done < samples:
         a, b, c = (sample_closed(BCIWK, rng) for _ in range(3))
         v = comb_equal(capp(S, a, b, c), capp(a, c, CApp(b, c)), BCIWK, fuel=fuel)
-        if v is Verdict.FUEL_EXHAUSTED and retries < 20 * samples:
+        if v is Verdict.FUEL_EXHAUSTED and retries < comb.FUEL_RETRIES_PER_SAMPLE * samples:
             retries += 1  # the instantiation itself diverges; decides nothing
             continue
         if v is not Verdict.EQUAL:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import terms
 from .normalize import (
@@ -381,58 +381,6 @@ def comb_normal_form(c: CTerm, sig: Signature, fuel: int = DEFAULT_FUEL) -> LTer
     return normalize(to_lambda(c, sig.discipline), sig.discipline, fuel=fuel)
 
 
-# The normal forms of the elements that enter composites as parts
-# (`part_image`), by (key, signature tag), oldest first.  The size covers
-# criterion 11's working set of distinct parts (each f, each B^i g and each
-# action): 240 in the battery, and about 410 over a run of the benchmark's
-# equivariance checks, about 0.9 MB.
-_normal_forms: dict = {}
-NORMAL_FORM_CACHE_SIZE = 512
-
-
-def part_image(key, build: Callable[[], CTerm], sig: Signature) -> LTerm:
-    """The lambda image of the element build() as one part of a composite
-    that is normalized whole.
-
-    In an exactly-once signature this is the element's normal form, which
-    is beta-eta-equal to its image: the element is built and normalized
-    once while `key` is among the NORMAL_FORM_CACHE_SIZE most recent.  The
-    key names the element: its value (`element_part`), or a key that no
-    value equals, such as a braid word.  In the cartesian signature it is
-    the element's own image, since normalizing a part first can diverge
-    where normal order does not (K I applied to a divergent term).
-    """
-    d = sig.discipline
-    if not d.exactly_once:
-        return to_lambda(build(), d)
-    key = (key, sig.tag)
-    nf = _normal_forms.get(key)
-    if nf is None:
-        nf = normalize(to_lambda(build(), d), d)
-        if len(_normal_forms) >= NORMAL_FORM_CACHE_SIZE:
-            del _normal_forms[next(iter(_normal_forms))]
-        _normal_forms[key] = nf
-    return nf
-
-
-def element_part(elem: CTerm, sig: Signature) -> LTerm:
-    """`part_image` of an element, keyed by its value."""
-    return part_image(_value(elem), lambda: elem, sig)
-
-
-def _value(c: CTerm):
-    """c as nested tuples and strings, equal exactly when the expressions
-    are, in a fraction of the memory: a primitive is its name, and the tags
-    of the other nodes are no primitive's name."""
-    if type(c) is CApp:
-        return (_value(c.fn), _value(c.arg))
-    if type(c) is Prim:
-        return c.name
-    if type(c) is Bullet:
-        return ("*", _value(c.arg))
-    return ("c", c.name)
-
-
 # -- planar polynomials and bracket abstraction ------------------------------------
 
 @dataclass(frozen=True)
@@ -569,6 +517,10 @@ def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
     return out
 
 
+# Redraws per requested sample of an instance that exhausts the fuel.
+FUEL_RETRIES_PER_SAMPLE = 20
+
+
 def beta_check_abstraction(
     p: PolyExpr,
     sig: Signature,
@@ -589,7 +541,7 @@ def beta_check_abstraction(
     while done < samples:
         args = [sample_closed(sig, rng) for _ in range(m)]
         v = comb_equal(capp(abst, *args), poly_instantiate(p, args), sig, fuel=fuel)
-        if v is Verdict.FUEL_EXHAUSTED and retries < 20 * samples:
+        if v is Verdict.FUEL_EXHAUSTED and retries < FUEL_RETRIES_PER_SAMPLE * samples:
             retries += 1
             continue
         if v is not Verdict.EQUAL:
@@ -788,7 +740,7 @@ def run_axiom(
                 return AxiomReport(ax.name, "fail", l, r, shown)
         if exhausted:
             retries += 1
-            if retries > 20 * samples:
+            if retries > FUEL_RETRIES_PER_SAMPLE * samples:
                 return AxiomReport(ax.name, "fail", "<fuel>", "<fuel>", shown)
             continue
         done += 1

@@ -15,8 +15,8 @@ condition, which the test suite checks exhaustively on small sizes.
 Multi-composition and the action are both sequential composition,
 a o b = B a b, so each side of the equivariance law is a chain of parts.
 `check_equivariance` decides it on the lambda terms \\x. q_1 (q_2 (.. (q_n x)))
-over the parts' cached normal forms (`comb.part_image`), with no
-combinator expression built per check.
+over the parts' cached normal forms (`_part`), with no combinator
+expression built per check.
 
 Trace syntax closes wires with the primitive Tr.  Its arities are stated,
 not decided, because no equality involves Tr.
@@ -24,6 +24,7 @@ not decided, because no equality involves Tr.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,15 +47,14 @@ from .comb import (
     comb_equal,
     comb_normal_form,
     compose,
-    element_part,
     format_cterm,
     from_lambda_applicative,
     parse_cterm,
-    part_image,
     sample_closed,
     subst_consts,
+    to_lambda,
 )
-from .normalize import DEFAULT_FUEL, Verdict, lam_equal
+from .normalize import DEFAULT_FUEL, Verdict, lam_equal, normalize
 from .terms import App, Lam, LTerm, Var
 
 
@@ -215,7 +215,7 @@ def check_equivariance(
     and f; on the right the action of the cabled word, the argument parts
     of the permuted g_i and f; an empty word acts by no part.  Each side is
     decided as \\x. q_1 (q_2 (.. (q_n x))), the beta-reduct of the chain's
-    image, with each part entered as its cached normal form, so each
+    image, each part entered as its cached normal form (`_part`), so each
     distinct part is normalized once, not inside both sides of every check.
     The verdict is the one the chains get: a normal form is beta-eta-equal
     to the image it replaces, and `canonical_equal` does not depend on where
@@ -230,21 +230,31 @@ def check_equivariance(
     perm = underlying_permutation(s)
     permuted = [gs[perm(i) - 1] for i in range(1, k + 1)]
     cabled = cable(s, [g.m for g in gs])
-    args = [element_part(e, sig) for e in argument_parts(gs)]
-    permuted_args = [element_part(e, sig) for e in argument_parts(permuted)]
-    op = [element_part(f.elem, sig)]
+    args = [_part(e, sig) for e in argument_parts(gs)]
+    permuted_args = [_part(e, sig) for e in argument_parts(permuted)]
+    op = [_part(f.elem, sig)]
     lhs = args + _action_parts(s, sig) + op
     rhs = _action_parts(cabled, sig) + permuted_args + op
     return lam_equal(_chain(lhs), _chain(rhs), sig.discipline, fuel=fuel)
 
 
 def _action_parts(s: BraidWord, sig: Signature) -> list[LTerm]:
-    """The parts that act by s: none for the empty word, else its action
-    element, keyed by the word, so that the element is built only when its
-    normal form is not cached."""
-    if not s.letters:
-        return []
-    return [part_image(s, lambda: action_word(s, sig), sig)]
+    """The parts that act by s: none for the empty word, else its action."""
+    return [_part(s, sig)] if s.letters else []
+
+
+# The size covers criterion 11's working set of distinct parts (each f, each
+# B^i g and each action): 240 in the battery, and about 410 over a run of the
+# benchmark's equivariance checks, about 0.9 MB.
+@functools.lru_cache(maxsize=512)
+def _part(part: CTerm | BraidWord, sig: Signature) -> LTerm:
+    """A part's image: its normal form in an exactly-once signature, else
+    its own image, since normalizing a part first can diverge where normal
+    order does not (K I applied to a divergent term).  A braid word stands
+    for its action element, which is then built only on a miss."""
+    d = sig.discipline
+    image = to_lambda(action_word(part, sig) if type(part) is BraidWord else part, d)
+    return normalize(image, d) if d.exactly_once else image
 
 
 def _chain(parts: list[LTerm]) -> LTerm:

@@ -3,15 +3,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from operadforge import comb
+from operadforge import operad
 from operadforge.braids import BraidWord
 
 
 @pytest.fixture(autouse=True)
-def empty_element_cache():
-    """Each test starts with no cached part normal forms, so that no
-    test's work counts depend on which tests ran before it."""
-    comb._normal_forms.clear()
+def empty_part_cache():
+    """Each test starts with `operad._part`'s cache empty, so that no
+    test's work counts or cache statistics depend on which tests ran
+    before it."""
+    operad._part.cache_clear()
 
 
 def braid_words(max_strands: int = 5, max_len: int = 8, min_strands: int = 0):

@@ -1,8 +1,14 @@
 """The acceptance battery: every criterion at its stated sample counts.
 
 Each test prints one pass/fail line; `pytest tests/test_acceptance.py -v -s`
-shows the live tally.  The same battery runs via `operadforge suite`.
+shows the live tally.  The same battery runs via `operadforge suite`, and
+each result must be its entry in `operadforge --json suite`'s recorded
+output, tests/golden/suite.json.
 """
+
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 from operadforge import acceptance, operad
 from operadforge.normalize import Verdict
@@ -11,11 +17,23 @@ SAMPLES = 32
 SEED = 0
 FUEL = 10_000
 
+GOLDEN = {
+    entry["name"]: entry
+    for entry in json.loads((Path(__file__).parent / "golden" / "suite.json").read_text())
+}
+
 
 def _run(criterion, number):
     result = criterion(SAMPLES, SEED, FUEL)
     print(f"[{number:2d}] {'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
     assert result.ok, f"{result.name}: {result.detail}"
+    assert asdict(result) == GOLDEN.get(result.name), result.name
+
+
+def test_golden_names_one_per_criterion():
+    """With `_run`'s lookup by name, the golden names are exactly the
+    criteria's names."""
+    assert len(GOLDEN) == len(acceptance.CRITERIA) == 12
 
 
 def test_criterion_01_braid_relations():

@@ -35,13 +35,13 @@ from operadforge.normalize import Verdict
 from test_operad import group_action
 
 
-def checks(count, seed=0):
+def checks(count, seed=0, sig=comb.BCPMI):
     """`count` cells of criterion 11's grid whose word has a letter, drawn
     with a seeded generator, on pools built as acceptance.criterion_11
-    builds them from the same seed: (f, gs, s) per cell."""
+    builds them from the same seed, in `sig`: (f, gs, s) per cell."""
     rng = random.Random(seed)
     pools = {
-        m: [operad.sample_operad_elem(m, comb.BCPMI, rng) for _ in range(8)]
+        m: [operad.sample_operad_elem(m, sig, rng) for _ in range(8)]
         for m in range(4)
     }
     cells = [
@@ -173,3 +173,56 @@ def test_contraction_and_traversal_counts(monkeypatch):
     # one binder per traversal makes 6,483 traversals (the stepping oracle,
     # tests/normalize_oracle.py, on the same 426 normalize inputs)
     assert counts == {"traversals": 2_928, "binders": 6_483}
+
+
+def reparsed(t):
+    """An operad element equal to t, built afresh from its printed source."""
+    return operad.OperadElem(comb.parse_cterm(comb.format_cterm(t.elem)), t.m)
+
+
+def test_equal_parts_share_one_cache_entry():
+    """The part cache is keyed by value: the same cell rebuilt from source
+    (equal, distinct objects) is all hits."""
+    for f, gs, s in checks(20, seed=2):
+        copy = (reparsed(f), [reparsed(g) for g in gs], BraidWord(s.strands, s.letters))
+        assert copy[0] == f and copy[0].elem is not f.elem
+        assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
+        misses = operad._part.cache_info().misses
+        assert operad.check_equivariance(*copy, comb.BCPMI) is Verdict.EQUAL
+        assert operad._part.cache_info().misses == misses
+    assert operad._part.cache_info().misses > 0
+
+
+def test_action_word_is_built_only_on_a_miss(monkeypatch):
+    """An action part is keyed by its word, so its element is built only
+    when the word's part is not cached."""
+    action_word = operad.action_word
+    built = []
+
+    def counting(s, sig):
+        built.append(s)
+        return action_word(s, sig)
+
+    monkeypatch.setattr(operad, "action_word", counting)
+    for f, gs, s in checks(20, seed=3):
+        before = len(built)
+        assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
+        assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
+        # the first check builds at most the word's and the cabled word's
+        # actions; the second builds none
+        assert len(built) - before <= 2
+        assert len(built) == len(set(built))
+    assert built
+
+
+def test_cartesian_parts_are_raw_images():
+    """In the cartesian signature a part enters as its own image, not its
+    normal form, and each verdict is the one the raw sides get."""
+    e = comb.parse_cterm("B I I")
+    image = comb.to_lambda(e, comb.BCIWK.discipline)
+    assert normalize_module.normalize(image, comb.BCIWK.discipline) != image
+    assert operad._part(e, comb.BCIWK) == image
+    for f, gs, s in checks(100, seed=6, sig=comb.BCIWK):
+        lhs, rhs, v = decided(f, gs, s, comb.BCIWK)
+        assert v is Verdict.EQUAL
+        assert comb.comb_equal(lhs, rhs, comb.BCIWK) is v

@@ -2,8 +2,11 @@
 tests/golden/, byte for byte.
 
 `--json axioms <sig>` is pinned per signature; `cli.json` pins the exit code,
-stdout and stderr of each invocation in `CLI_ARGVS`.  To record `cli.json`
-again from the current code (only when an output change is intended):
+stdout and stderr of each invocation in `CLI_ARGVS`.  `suite.json` holds
+`operadforge --json suite`'s output, which `test_acceptance.py` compares
+each criterion's result with, so that no extra battery run is needed.  To
+record `cli.json` again from the current code (only when an output change is
+intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
