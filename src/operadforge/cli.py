@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import asdict
 
@@ -112,17 +111,9 @@ def cmd_eq(args) -> int:
     return _verdict_exit(v)
 
 
-def _cterm_to_poly(t: comb.CTerm) -> comb.PolyExpr:
-    if isinstance(t, comb.ConstRef) and re.fullmatch(r"x\d*", t.name):
-        return comb.Id(int(t.name[1:]) if len(t.name) > 1 else 0)
-    if isinstance(t, comb.CApp):
-        return comb.AppP(_cterm_to_poly(t.fn), _cterm_to_poly(t.arg))
-    return comb.Coef(t)
-
-
 def cmd_abstract(args) -> int:
     sig = _signature(args.signature)
-    poly = _cterm_to_poly(comb.parse_cterm(_read_input(args.poly)))
+    poly = comb.parse_cterm(_read_input(args.poly))
     out = comb.bracket_abstract(poly, sig)
     print(comb.format_cterm(out))
     if args.certify:

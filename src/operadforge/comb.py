@@ -6,6 +6,11 @@ closed expression (``a*``), infix ``o`` for sequential composition
 (``a o b`` abbreviates ``B a b`` and binds looser than application,
 associating to the right).  Any other identifier is a free constant.
 
+A polynomial, the input of bracket abstraction, is such an expression in
+which each constant named ``x0 x1 ...`` (bare ``x`` means ``x0``) is an
+indeterminate and every other subexpression is a coefficient.  Internalization
+takes a closed expression, so no indeterminate may occur under ``*``.
+
 Each signature fixes the permitted primitives and the lambda discipline in
 which its expressions are interpreted (`_SIGNATURE_FACTS`); every other
 signature fact, such as its exchange combinator or whether it allows
@@ -381,103 +386,77 @@ def comb_normal_form(c: CTerm, sig: Signature, fuel: int = DEFAULT_FUEL) -> LTer
     return normalize(to_lambda(c, sig.discipline), sig.discipline, fuel=fuel)
 
 
-# -- planar polynomials and bracket abstraction ------------------------------------
+# -- polynomials and bracket abstraction ------------------------------------------
 
-@dataclass(frozen=True)
-class Id:
-    """One occurrence of the variable numbered var."""
-
-    var: int
+_INDETERMINATE_RE = re.compile(r"x\d*")
 
 
-@dataclass(frozen=True)
-class Coef:
-    value: CTerm
+def _index(t: CTerm) -> Optional[int]:
+    """i if t is the indeterminate xi (bare x is x0), else None."""
+    if type(t) is ConstRef and _INDETERMINATE_RE.fullmatch(t.name):
+        return int(t.name[1:] or 0)
+    return None
 
 
-@dataclass(frozen=True)
-class AppP:
-    fn: "PolyExpr"
-    arg: "PolyExpr"
+def _indices(p: CTerm) -> list[int]:
+    """The indices of p's indeterminate occurrences, left to right; one under
+    * is an error, since internalization takes a closed expression."""
+    if type(p) is CApp:
+        return _indices(p.fn) + _indices(p.arg)
+    if type(p) is Bullet and _indices(p.arg):
+        raise CombError(
+            f"indeterminate under * in {format_cterm(p)} "
+            "(internalization takes a closed expression)"
+        )
+    i = _index(p)
+    return [] if i is None else [i]
 
 
-PolyExpr = Id | Coef | AppP
-
-
-def _leaves(p: PolyExpr) -> list[Id]:
-    if isinstance(p, Id):
-        return [p]
-    if isinstance(p, Coef):
-        return []
-    return _leaves(p.fn) + _leaves(p.arg)
-
-
-def poly_arity(p: PolyExpr) -> int:
-    """One more than the largest variable index; indices may repeat or be
+def poly_arity(p: CTerm) -> int:
+    """One more than the largest indeterminate index; indices may repeat or be
     skipped (meaningful only for the cartesian signature)."""
-    indices = [l.var for l in _leaves(p)]
-    return max(indices) + 1 if indices else 0
+    return max(_indices(p), default=-1) + 1
 
 
-def poly_value(p: PolyExpr) -> CTerm:
-    """Fold a variable-free polynomial into the element it denotes."""
-    if isinstance(p, Coef):
-        return p.value
-    if isinstance(p, AppP):
-        return CApp(poly_value(p.fn), poly_value(p.arg))
-    raise CombError("polynomial still has a variable occurrence")
+def poly_instantiate(p: CTerm, args: Sequence[CTerm]) -> CTerm:
+    """p with each indeterminate xi replaced by args[i]."""
+    if type(p) is CApp:
+        return CApp(poly_instantiate(p.fn, args), poly_instantiate(p.arg, args))
+    i = _index(p)
+    return p if i is None else args[i]
 
 
-def poly_instantiate(p: PolyExpr, args: Sequence[CTerm]) -> CTerm:
-    if isinstance(p, Id):
-        return args[p.var]
-    if isinstance(p, Coef):
-        return p.value
-    return CApp(poly_instantiate(p.fn, args), poly_instantiate(p.arg, args))
-
-
-def _occurrences(p: PolyExpr, v: int) -> int:
-    return sum(1 for l in _leaves(p) if l.var == v)
-
-
-def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
-    """One abstraction step: remove variable m-1, the last one."""
+def _abstract_last(p: CTerm, sig: Signature, m: int) -> CTerm:
+    """One abstraction step: remove indeterminate m-1, the last one."""
     v = m - 1
-    occ = _occurrences(p, v)
-    if occ == 0:
+    if v not in _indices(p):
         if sig.discipline.exactly_once:
             raise CombError(f"variable {v} does not occur ({sig.tag} forbids weakening)")
-        return AppP(Coef(K), p)
-    if isinstance(p, Id):
-        return Coef(I)
-    if isinstance(p, AppP):
-        in_fn = _occurrences(p.fn, v)
-        in_arg = _occurrences(p.arg, v)
+        return CApp(K, p)
+    if _index(p) == v:
+        return I
+    if type(p) is CApp:
+        in_fn = v in _indices(p.fn)
+        in_arg = v in _indices(p.arg)
         if in_fn and in_arg:
             if sig.discipline.exactly_once:
                 raise CombError(f"variable {v} duplicated ({sig.tag} forbids contraction)")
-            # split the occurrences: t1's copies become variable m-1, t2's
-            # become variable m; abstract both and contract with W.
-            fn = _relabel(p.fn, v, v)
-            arg = _relabel(p.arg, v, v + 1)
-            d = _abstract_last(AppP(fn, arg), sig, m + 1)
+            # split the occurrences: the argument's copies become the fresh
+            # indeterminate xm; abstract both and contract with W.
+            fresh = [ConstRef(f"x{i}") for i in range(v)] + [ConstRef(f"x{m}")]
+            d = _abstract_last(CApp(p.fn, poly_instantiate(p.arg, fresh)), sig, m + 1)
             d = _abstract_last(d, sig, m)
-            return AppP(Coef(W), d)
+            return CApp(W, d)
         if in_arg:
-            if isinstance(p.arg, Id):
-                inner: PolyExpr = Coef(I)
-            else:
-                inner = _abstract_last(p.arg, sig, m)
-            return AppP(AppP(Coef(B), p.fn), inner)
+            return capp(B, p.fn, _abstract_last(p.arg, sig, m))
         # occurrences only in the function part
-        if not _leaves(p.arg):
+        if not _indices(p.arg):
             # the internalization of the closed argument, native or derived
-            a = poly_value(p.arg)
             if sig.discipline is Discipline.PLANAR:
-                coef: CTerm = Bullet(a)
+                coef: CTerm = Bullet(p.arg)
             else:
-                coef = capp(sig.exchange(True), I, a)
-            return AppP(AppP(Coef(B), Coef(coef)), _abstract_last(p.fn, sig, m))
+                coef = capp(sig.exchange(True), I, p.arg)
+            return capp(B, coef, _abstract_last(p.fn, sig, m))
         if sig.discipline is Discipline.PLANAR:
             raise CombError(
                 "planar abstraction requires the abstracted variable rightmost"
@@ -487,34 +466,22 @@ def _abstract_last(p: PolyExpr, sig: Signature, m: int) -> PolyExpr:
                 f"a polynomial carries no crossing sign, so {sig.tag} cannot "
                 "abstract an exchange"
             )
-        return AppP(AppP(Coef(C), _abstract_last(p.fn, sig, m)), p.arg)
+        return capp(C, _abstract_last(p.fn, sig, m), p.arg)
     raise CombError("cannot abstract from a coefficient")
 
 
-def _relabel(p: PolyExpr, old: int, new: int) -> PolyExpr:
-    if isinstance(p, Id):
-        return Id(new) if p.var == old else p
-    if isinstance(p, Coef):
-        return p
-    return AppP(_relabel(p.fn, old, new), _relabel(p.arg, old, new))
-
-
-def bracket_abstract(p: PolyExpr, sig: Signature) -> CTerm:
-    """Close a polynomial over all its variables, last variable first, so the
+def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
+    """Close a polynomial over all its indeterminates, the last first, so the
     result applied to q1 .. qm equals the polynomial at (q1, .., qm)."""
-    m = poly_arity(p)
-    if m == 0:
+    order = _indices(p)
+    if not order:
         raise CombError("polynomial has no variable to abstract")
-    if sig.discipline is Discipline.PLANAR:
-        order = [l.var for l in _leaves(p)]
-        if order != sorted(order):
-            raise CombError("planar polynomial requires variables in order")
-    while m > 0:
+    if sig.discipline is Discipline.PLANAR and order != sorted(order):
+        raise CombError("planar polynomial requires variables in order")
+    for m in range(max(order) + 1, 0, -1):
         p = _abstract_last(p, sig, m)
-        m -= 1
-    out = poly_value(p)
-    check_signature(prims(out), sig)
-    return out
+    check_signature(prims(p), sig)
+    return p
 
 
 # Redraws per requested sample of an instance that exhausts the fuel.
@@ -522,7 +489,7 @@ FUEL_RETRIES_PER_SAMPLE = 20
 
 
 def beta_check_abstraction(
-    p: PolyExpr,
+    p: CTerm,
     sig: Signature,
     samples: int = 4,
     seed: int = 0,
@@ -770,8 +737,8 @@ _S_WORD_SRC = (
 )
 
 
-def classical_S_polynomial() -> PolyExpr:
-    return AppP(AppP(Id(0), Id(2)), AppP(Id(1), Id(2)))
+def classical_S_polynomial() -> CTerm:
+    return parse_cterm("x0 x2 (x1 x2)")
 
 
 def derive_classical_S() -> CTerm:

@@ -154,6 +154,37 @@ class TestArityMemberCompose:
         assert out.strip()
 
 
+_COEFFICIENTS = ("a", "b", "a*", "(a b)*", "B")
+_DISCIPLINE_ERRORS = ("forbids", "requires variables in order", "rightmost", "no crossing sign")
+
+
+@st.composite
+def _polynomials(draw):
+    """(source, indices): a polynomial under a random bracketing whose
+    indeterminates read x(i) for i in `indices`, left to right, with closed
+    coefficients between them."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.one_of(
+        st.just(list(range(n))),
+        st.permutations(range(n)),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    ))
+    leaves = []
+    for i in order:
+        leaves += draw(st.lists(st.sampled_from(_COEFFICIENTS), max_size=1))
+        leaves.append(f"x{i}")
+    leaves += draw(st.lists(st.sampled_from(_COEFFICIENTS), max_size=1))
+
+    def bracket(ls):
+        if len(ls) == 1:
+            return ls[0]
+        k = draw(st.integers(1, len(ls) - 1))
+        arg = bracket(ls[k:])
+        return f"{bracket(ls[:k])} " + (f"({arg})" if len(ls) - k > 1 else arg)
+
+    return bracket(leaves), order
+
+
 class TestAbstract:
     def test_planar_example(self, capsys):
         code, out, _ = run(capsys, "abstract", "-s", "bibullet", "x a")
@@ -164,6 +195,39 @@ class TestAbstract:
         code, out, err = run(capsys, "abstract", "-s", "bci", "--certify", "a x0 x1")
         assert code == 0
         assert "certified: Equal" in err
+
+    @pytest.mark.parametrize("poly", ["x0 x1*", "x0*", "x0 (x1 a)*", "x0 x1**"])
+    def test_indeterminate_under_internalization_exit_1(self, capsys, poly):
+        for certify in ([], ["--certify"]):
+            code, out, err = run(capsys, "abstract", "-s", "bibullet", *certify, poly)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: indeterminate under *") and err.count("\n") == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(_polynomials())
+    def test_combinatory_completeness(self, case):
+        """Each signature abstracts exactly the polynomials its discipline
+        admits, and certifies what it abstracts: planar takes x0 .. x(n-1)
+        in order, each once; linear any order; braided only the order that
+        needs no exchange; cartesian repeats and gaps too."""
+        text, order = case
+        n = max(order) + 1
+        once = sorted(order) == list(range(n))
+        in_order = order == list(range(n))
+        admits = {"bibullet": in_order, "bci": once, "bcpmi": in_order, "bciwk": True}
+        for sig, admitted in admits.items():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--samples", "2", "abstract", "-s", sig, "--certify", text])
+            if admitted:
+                assert (code, err.getvalue()) == (0, "certified: Equal\n"), (sig, text)
+            else:
+                assert code == 1 and out.getvalue() == "", (sig, text)
+                if once:
+                    want = {"bibullet": "requires variables in order", "bcpmi": "no crossing sign"}
+                    assert want[sig] in err.getvalue(), (sig, text)
+                else:
+                    assert any(m in err.getvalue() for m in _DISCIPLINE_ERRORS), (sig, text)
 
 
 class TestBraid:

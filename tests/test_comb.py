@@ -12,15 +12,12 @@ from operadforge.comb import (
     BCIWK,
     BCPMI,
     BIBULLET,
-    AppP,
     Axiom,
     Bullet,
     CApp,
-    Coef,
     CombError,
     ConstRef,
     PRIM_NAMES,
-    Id,
     Prim,
     Signature,
     UnsupportedTrace,
@@ -47,6 +44,7 @@ from operadforge.terms import Discipline, parse
 
 B, C, I, W, K = Prim("B"), Prim("C"), Prim("I"), Prim("W"), Prim("K")
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
+x0, x1 = ConstRef("x0"), ConstRef("x1")
 
 
 class TestSignature:
@@ -267,16 +265,16 @@ class TestBPowers:
 
 class TestBracketAbstraction:
     def test_variable_alone(self):
-        assert bracket_abstract(Id(0), BIBULLET) == I
+        assert bracket_abstract(x0, BIBULLET) == I
 
     def test_variable_applied_to_coefficient(self):
-        assert bracket_abstract(AppP(Id(0), Coef(a)), BIBULLET) == capp(B, Bullet(a), I)
+        assert bracket_abstract(CApp(x0, a), BIBULLET) == capp(B, Bullet(a), I)
 
     def test_coefficient_applied_to_variable(self):
-        assert bracket_abstract(AppP(Coef(a), Id(0)), BIBULLET) == capp(B, a, I)
+        assert bracket_abstract(CApp(a, x0), BIBULLET) == capp(B, a, I)
 
     def test_planar_order_enforced(self):
-        swapped = AppP(Id(1), Id(0))
+        swapped = CApp(x1, x0)
         with pytest.raises(CombError):
             bracket_abstract(swapped, BIBULLET)
         assert beta_check_abstraction(swapped, BCI, samples=2) is Verdict.EQUAL
@@ -285,20 +283,20 @@ class TestBracketAbstraction:
         # x1 x0: abstracting x1 must cross it over x0, and a polynomial
         # does not say whether by C+ or by C-
         with pytest.raises(CombError, match="no crossing sign"):
-            bracket_abstract(AppP(Id(1), Id(0)), BCPMI)
-        assert beta_check_abstraction(AppP(Id(0), Id(1)), BCPMI, samples=2) is Verdict.EQUAL
+            bracket_abstract(CApp(x1, x0), BCPMI)
+        assert beta_check_abstraction(CApp(x0, x1), BCPMI, samples=2) is Verdict.EQUAL
 
     def test_linear_forbids_weakening_and_contraction(self):
         with pytest.raises(CombError):
-            bracket_abstract(AppP(Coef(a), Coef(b)), BCI)  # no variable at all
-        dup = AppP(Id(0), Id(0))
+            bracket_abstract(CApp(a, b), BCI)  # no variable at all
+        dup = CApp(x0, x0)
         with pytest.raises(CombError):
             bracket_abstract(dup, BCI)
         assert beta_check_abstraction(dup, BCIWK, samples=2) is Verdict.EQUAL
 
     def test_cartesian_weakening(self):
         # arity 2 with variable 0 vacuous: b x1
-        p = AppP(Coef(b), Id(1))
+        p = CApp(b, x1)
         closed = bracket_abstract(p, BCIWK)
         assert comb_equal(capp(closed, a, c), capp(b, c), BCIWK) is Verdict.EQUAL
         with pytest.raises(CombError):
@@ -308,9 +306,9 @@ class TestBracketAbstraction:
 
     def test_certification_across_signatures(self, rng):
         polys = [
-            AppP(Id(0), Id(1)),
-            AppP(AppP(Id(0), Coef(a)), Id(1)),
-            AppP(Coef(a), AppP(Id(0), Coef(b))),
+            CApp(x0, x1),
+            CApp(CApp(x0, a), x1),
+            CApp(a, CApp(x0, b)),
         ]
         for sig in (BIBULLET, BCI, BCPMI):
             for p in polys:
@@ -318,7 +316,7 @@ class TestBracketAbstraction:
 
     def test_closed_output(self, rng):
         for sig in (BIBULLET, BCI, BCIWK):
-            p = AppP(AppP(Id(0), Coef(sample_closed(sig, rng, max_depth=1))), Id(1))
+            p = CApp(CApp(x0, sample_closed(sig, rng, max_depth=1)), x1)
             out = bracket_abstract(p, sig)
             assert comb_equal(
                 capp(out, a, b),
@@ -327,8 +325,25 @@ class TestBracketAbstraction:
             ) is Verdict.EQUAL
 
     def test_poly_arity(self):
-        assert poly_arity(AppP(Id(0), AppP(Id(1), Coef(a)))) == 2
-        assert poly_arity(Coef(a)) == 0
+        assert poly_arity(CApp(x0, CApp(x1, a))) == 2
+        assert poly_arity(a) == 0
+        # bare x is x0; any other name, primitives included, is a coefficient
+        assert poly_arity(ConstRef("x")) == 1
+        assert poly_arity(parse_cterm("x' y1 B (a b)* o x2")) == 3
+
+    def test_instantiation_replaces_only_indeterminates(self):
+        p = parse_cterm("x (a x1) a*")
+        assert poly_instantiate(p, [b, c]) == parse_cterm("b (a c) a*")
+
+    @pytest.mark.parametrize("src", ["x0 x1*", "x0*", "x0 (x1 a)*", "x0 x1**"])
+    def test_indeterminate_under_internalization(self, src):
+        # internalization takes a closed expression: \f. f x is not planar
+        p = parse_cterm(src)
+        for sig in (BIBULLET, BCI, BCPMI, BCIWK):
+            with pytest.raises(CombError, match=r"indeterminate under \*"):
+                bracket_abstract(p, sig)
+            with pytest.raises(CombError, match=r"indeterminate under \*"):
+                beta_check_abstraction(p, sig, samples=1)
 
 
 class TestAxiomSuites:

@@ -187,8 +187,6 @@ class TestBraidedEquality:
         assert lam_equal(parse(r"\x. m x"), Const("m"), BR) is Verdict.EQUAL
 
     def test_definite_on_equivalence_laws(self, rng):
-        import random
-
         from operadforge.comb import BCPMI, sample_closed, to_lambda
 
         terms = [to_lambda(sample_closed(BCPMI, rng, max_depth=2), BR) for _ in range(10)]
@@ -214,7 +212,7 @@ class TestAxiomRewriteCrossCheck:
     independent bounded rewrite search over the braided axiom table."""
 
     def test_small_instances(self):
-        from operadforge.comb import BCPMI, comb_equal, parse_cterm, subst_consts
+        from operadforge.comb import BCPMI, comb_equal, parse_cterm
         from rewrite_oracle import provably_equal
 
         pairs = [

@@ -1,4 +1,5 @@
-"""A static tripwire for test-only surface in the package.
+"""Static tripwires for test-only surface in the package and for unused
+imports.
 
 Every public top-level function or class in `src/operadforge/` must be named
 somewhere in the package outside its own definition: as a name, or as an
@@ -31,3 +32,29 @@ def test_every_public_definition_has_a_caller_in_the_package():
             if not named.get(d.name, set()) - inside:
                 uncalled.append(f"{module}: {d.name}")
     assert uncalled == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names path imports and never reads, except on a `noqa` line (the
+    package's re-exports) and `__future__` imports."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    package = Path(operad.__file__).parent
+    paths = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [u for path in paths for u in _unused_imports(path)] == []
