@@ -240,17 +240,19 @@ def shift_strands(u: BraidWord, by: int) -> BraidWord:
 
 # -- text syntax --------------------------------------------------------------
 
-_BRAID_RE = re.compile(r"^\s*\{\s*(\d+)\s*;((?:\s*-?\d+)*)\s*\}\s*$")
+_LETTER = r"-?\d+"
+_BRAID_RE = re.compile(rf"\s*\{{\s*(\d+)\s*;((?:\s*{_LETTER})*)\s*\}}\s*")
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse the literal syntax `{n; i1 i2 ...}` (letters optional)."""
-    m = _BRAID_RE.match(text)
+    """Parse the literal syntax `{n; i1 i2 ...}` (letters optional), the one
+    braid grammar of the package.  A letter is an optionally signed integer,
+    so `{3; 1-2}` is the word 1 -2."""
+    m = _BRAID_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed braid literal: {text!r}")
-    n = int(m.group(1))
-    letters = tuple(int(tok) for tok in m.group(2).split())
-    return BraidWord(n, letters)
+    letters = tuple(int(a) for a in re.findall(_LETTER, m.group(2)))
+    return BraidWord(int(m.group(1)), letters)
 
 
 def format_braid(u: BraidWord) -> str:

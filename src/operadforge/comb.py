@@ -203,40 +203,10 @@ def subst_consts(t: CTerm, bindings: dict[str, CTerm]) -> CTerm:
 
 # -- concrete syntax ---------------------------------------------------------------
 
-_CTOKEN_RE = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<star>\*)|(?P<ident>[A-Za-z_][A-Za-z0-9_'+-]*))"
-)
+_CTOKEN_RE = re.compile(rf"(?P<lpar>\()|(?P<rpar>\))|(?P<star>\*)|(?P<ident>{terms.IDENT})")
 
 
-def _ctokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _CTOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise CombError(f"unexpected character {text[pos]!r} at {pos}")
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
-
-
-class _CParser:
-    def __init__(self, text: str):
-        self.tokens = _ctokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise CombError("unexpected end of input")
-        self.i += 1
-        return tok
-
+class _CParser(terms.Tokens):
     def parse_expr(self) -> CTerm:
         left = self.parse_juxt()
         tok = self.peek()
@@ -248,8 +218,6 @@ class _CParser:
 
     def parse_juxt(self) -> CTerm:
         head = self.parse_atom()
-        if head is None:
-            raise CombError("expected an expression")
         while True:
             nxt = self.parse_atom(optional=True)
             if nxt is None:
@@ -261,7 +229,7 @@ class _CParser:
         if tok is None:
             if optional:
                 return None
-            raise CombError("unexpected end of input")
+            raise self.error("unexpected end of input", len(self.text))
         kind, val, pos = tok
         out: Optional[CTerm] = None
         if kind == "ident":
@@ -274,9 +242,7 @@ class _CParser:
         elif kind == "lpar":
             self.next()
             out = self.parse_expr()
-            tok = self.next()
-            if tok[0] != "rpar":
-                raise CombError(f"expected ')', found {tok[1]!r} at {tok[2]}")
+            self.expect("rpar")
         elif optional:
             return None
         else:
@@ -291,10 +257,9 @@ class _CParser:
 
 
 def parse_cterm(text: str) -> CTerm:
-    p = _CParser(text)
+    p = _CParser(_CTOKEN_RE, text, lambda message, pos: CombError(f"{message} at {pos}"))
     t = p.parse_expr()
-    if p.peek() is not None:
-        raise CombError(f"trailing input {p.peek()[1]!r} at {p.peek()[2]}")
+    p.end()
     return t
 
 
@@ -435,39 +400,35 @@ def _abstract_last(p: CTerm, sig: Signature, m: int) -> CTerm:
         return CApp(K, p)
     if _index(p) == v:
         return I
-    if type(p) is CApp:
-        in_fn = v in _indices(p.fn)
-        in_arg = v in _indices(p.arg)
-        if in_fn and in_arg:
-            if sig.discipline.exactly_once:
-                raise CombError(f"variable {v} duplicated ({sig.tag} forbids contraction)")
-            # split the occurrences: the argument's copies become the fresh
-            # indeterminate xm; abstract both and contract with W.
-            fresh = [ConstRef(f"x{i}") for i in range(v)] + [ConstRef(f"x{m}")]
-            d = _abstract_last(CApp(p.fn, poly_instantiate(p.arg, fresh)), sig, m + 1)
-            d = _abstract_last(d, sig, m)
-            return CApp(W, d)
-        if in_arg:
-            return capp(B, p.fn, _abstract_last(p.arg, sig, m))
-        # occurrences only in the function part
-        if not _indices(p.arg):
-            # the internalization of the closed argument, native or derived
-            if sig.discipline is Discipline.PLANAR:
-                coef: CTerm = Bullet(p.arg)
-            else:
-                coef = capp(sig.exchange(True), I, p.arg)
-            return capp(B, coef, _abstract_last(p.fn, sig, m))
+    # p is an application: nothing else holds an indeterminate
+    in_fn = v in _indices(p.fn)
+    in_arg = v in _indices(p.arg)
+    if in_fn and in_arg:
+        if sig.discipline.exactly_once:
+            raise CombError(f"variable {v} duplicated ({sig.tag} forbids contraction)")
+        # split the occurrences: the argument's copies become the fresh
+        # indeterminate xm; abstract both and contract with W.
+        fresh = [ConstRef(f"x{i}") for i in range(v)] + [ConstRef(f"x{m}")]
+        d = _abstract_last(CApp(p.fn, poly_instantiate(p.arg, fresh)), sig, m + 1)
+        d = _abstract_last(d, sig, m)
+        return CApp(W, d)
+    if in_arg:
+        return capp(B, p.fn, _abstract_last(p.arg, sig, m))
+    # occurrences only in the function part
+    if not _indices(p.arg):
+        # the internalization of the closed argument, native or derived
         if sig.discipline is Discipline.PLANAR:
-            raise CombError(
-                "planar abstraction requires the abstracted variable rightmost"
-            )
-        if sig.discipline is Discipline.BRAIDED:
-            raise CombError(
-                f"a polynomial carries no crossing sign, so {sig.tag} cannot "
-                "abstract an exchange"
-            )
-        return capp(C, _abstract_last(p.fn, sig, m), p.arg)
-    raise CombError("cannot abstract from a coefficient")
+            coef: CTerm = Bullet(p.arg)
+        else:
+            coef = capp(sig.exchange(True), I, p.arg)
+        return capp(B, coef, _abstract_last(p.fn, sig, m))
+    # an exchange, never planar: a planar polynomial keeps its order
+    if sig.discipline is Discipline.BRAIDED:
+        raise CombError(
+            f"a polynomial carries no crossing sign, so {sig.tag} cannot "
+            "abstract an exchange"
+        )
+    return capp(C, _abstract_last(p.fn, sig, m), p.arg)
 
 
 def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:

@@ -36,6 +36,7 @@ from .braids import (
     braid_is_trivial,
     cable,
     direct_sum,
+    parse_braid,
     permute_contents,
     shift_strands,
     trivial,
@@ -349,8 +350,6 @@ def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
         return t
     if isinstance(t, Var):
         return Var(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, Const):
-        return t
     if isinstance(t, Lam):
         return Lam(shift(t.body, by, cutoff + 1))
     if isinstance(t, App):
@@ -494,33 +493,32 @@ def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:
 
 # -- concrete syntax ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lam>\\)|(?P<dot>\.)|(?P<lpar>\()|(?P<rpar>\))"
-    r"|(?P<lbrk>\[)|(?P<rbrk>\])|(?P<lbrc>\{)|(?P<rbrc>\})|(?P<semi>;)"
-    r"|(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_'+-]*))"
-)
+# An identifier of either surface syntax: a variable or constant of a lambda
+# term, a primitive or constant of a combinator expression.
+IDENT = r"[A-Za-z_][A-Za-z0-9_'+-]*"
+
+_SPACE_RE = re.compile(r"\s*")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
+class Tokens:
+    """The tokens of text, with the whitespace before each skipped: `pattern`
+    matches one token, and its named group says the token's kind.  Each
+    token is (kind, text, position).  `error(message, position)` builds the
+    syntax's exception; a character that starts no token is an error at its
+    own position."""
 
-
-class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, pattern: re.Pattern, text: str, error: Callable[[str, int], Exception]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.error = error
+        self.tokens: list[tuple[str, str, int]] = []
         self.i = 0
+        pos = _SPACE_RE.match(text).end()
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            if not m:
+                raise error(f"unexpected character {text[pos]!r}", pos)
+            self.tokens.append((m.lastgroup, m.group(), pos))
+            pos = _SPACE_RE.match(text, m.end()).end()
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -528,16 +526,31 @@ class _Parser:
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+            raise self.error("unexpected end of input", len(self.text))
         self.i += 1
         return tok
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
+    def end(self) -> None:
+        """Raise unless every token has been read."""
+        tok = self.peek()
+        if tok is not None:
+            raise self.error(f"trailing input {tok[1]!r}", tok[2])
+
+
+# A braid literal is one token, read by `parse_braid`.
+_TOKEN_RE = re.compile(
+    r"(?P<lam>\\)|(?P<dot>\.)|(?P<lpar>\()|(?P<rpar>\))|(?P<lbrk>\[)|(?P<rbrk>\])"
+    rf"|(?P<braid>\{{[^}}]*\}})|(?P<ident>{IDENT})"
+)
+
+
+class _Parser(Tokens):
     def parse_term(self, env: list[str]) -> LTerm:
         tok = self.peek()
         if tok is not None and tok[0] == "lam":
@@ -588,39 +601,23 @@ class _Parser:
             return t
         if kind == "lbrk":
             self.next()
-            word = self.parse_braid_literal()
+            _, literal, at = self.expect("braid")
+            try:
+                word = parse_braid(literal)
+            except ValueError as e:
+                raise ParseError(str(e), at) from None
             self.expect("rbrk")
-            body = self.parse_atom(env)
-            return BraidNode(word, body)
+            return BraidNode(word, self.parse_atom(env))
         if optional:
             return None
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def parse_braid_literal(self) -> BraidWord:
-        self.expect("lbrc")
-        n_tok = self.expect("int")
-        n = int(n_tok[1])
-        self.expect("semi")
-        letters = []
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "int":
-                letters.append(int(self.next()[1]))
-            else:
-                break
-        self.expect("rbrc")
-        try:
-            return BraidWord(n, tuple(letters))
-        except ValueError as e:
-            raise ParseError(str(e), n_tok[2]) from None
-
 
 def parse(text: str) -> LTerm:
     """Parse the term grammar; unbound identifiers become constants."""
-    p = _Parser(text)
+    p = _Parser(_TOKEN_RE, text, ParseError)
     t = p.parse_term([])
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+    p.end()
     return t
 
 
@@ -685,22 +682,28 @@ def _pretty_atom(u: LTerm, env: list[str], consts: set[str]) -> str:
     return f"({_pretty(u, env, consts)})"
 
 
-def tree_lines(t: LTerm, env: Optional[list[str]] = None, prefix: str = "") -> Iterator[str]:
-    """Indented tree rendering (used by the CLI's --tree flag)."""
-    env = env or []
-    if isinstance(t, Var):
-        name = env[len(env) - 1 - t.index] if t.index < len(env) else f"_free{t.index - len(env)}"
+def tree_lines(t: LTerm) -> Iterator[str]:
+    """Indented tree rendering (used by the CLI's --tree flag), with the
+    binder names `pretty` gives."""
+    consts: set[str] = set()
+    _collect_consts(t, consts)
+    return _tree_lines(t, [], consts, "")
+
+
+def _tree_lines(u: LTerm, env: list[str], consts: set[str], prefix: str) -> Iterator[str]:
+    if isinstance(u, Var):
+        name = env[len(env) - 1 - u.index] if u.index < len(env) else f"_free{u.index - len(env)}"
         yield f"{prefix}var {name}"
-    elif isinstance(t, Const):
-        yield f"{prefix}const {t.name}"
-    elif isinstance(t, Lam):
-        name = _fresh_name(len(env), set(env))
+    elif isinstance(u, Const):
+        yield f"{prefix}const {u.name}"
+    elif isinstance(u, Lam):
+        name = _fresh_name(len(env), consts | set(env))
         yield f"{prefix}lam {name}"
-        yield from tree_lines(t.body, env + [name], prefix + "  ")
-    elif isinstance(t, App):
+        yield from _tree_lines(u.body, env + [name], consts, prefix + "  ")
+    elif isinstance(u, App):
         yield f"{prefix}app"
-        yield from tree_lines(t.fn, env, prefix + "  ")
-        yield from tree_lines(t.arg, env, prefix + "  ")
-    elif isinstance(t, BraidNode):
-        yield f"{prefix}braid {t.braid}"
-        yield from tree_lines(t.body, env, prefix + "  ")
+        yield from _tree_lines(u.fn, env, consts, prefix + "  ")
+        yield from _tree_lines(u.arg, env, consts, prefix + "  ")
+    elif isinstance(u, BraidNode):
+        yield f"{prefix}braid {u.braid}"
+        yield from _tree_lines(u.body, env, consts, prefix + "  ")

@@ -153,9 +153,14 @@ class TestArityMemberCompose:
         assert code == 0
         assert out.strip()
 
+    def test_compose_non_member_exit_1(self, capsys):
+        code, out, err = run(capsys, "compose", "-s", "bibullet", "--bound", "2", "B", "a*", "b")
+        assert (code, out) == (1, "")
+        assert err == "error: 'b' is not an operad element within arity bound 2\n"
+
 
 _COEFFICIENTS = ("a", "b", "a*", "(a b)*", "B")
-_DISCIPLINE_ERRORS = ("forbids", "requires variables in order", "rightmost", "no crossing sign")
+_DISCIPLINE_ERRORS = ("forbids", "requires variables in order", "no crossing sign")
 
 
 @st.composite
@@ -247,6 +252,18 @@ class TestBraid:
         code, out, _ = run(capsys, "braid", "sum", "{2; 1}", "{2; 1}")
         assert code == 0 and out.strip() == "{4; 1 3}"
 
+    @pytest.mark.parametrize(
+        "op, word, want", [("inverse", "{3; 1 -2}", "{3; 2 -1}"), ("trivial", "{3; 1 -1}", "true")]
+    )
+    def test_one_word_ops(self, capsys, op, word, want):
+        code, out, _ = run(capsys, "braid", op, word)
+        assert (code, out) == (0, want + "\n")
+
+    def test_unspaced_signed_letters(self, capsys):
+        # the braid grammar is the one terms use inside [...]
+        code, out, _ = run(capsys, "braid", "eq", "{3; 1-2}", "{3; 1 -2}")
+        assert code == 0 and out.strip() == "Equal"
+
     def test_malformed_literal_exit_1(self, capsys):
         code, _, err = run(capsys, "braid", "eq", "{2; 5}", "{2; 1}")
         assert code == 1
@@ -291,6 +308,39 @@ class TestAxioms:
         assert out.count("PASS") == 12
 
 
+class TestSuite:
+    """`suite` over the recorded results, without running the battery."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "suite.json"
+
+    def recorded(self, monkeypatch, failing=None):
+        from operadforge import acceptance
+
+        results = [acceptance.Result(**e) for e in json.loads(self.GOLDEN.read_text())]
+        if failing is not None:
+            results[failing].ok = False
+        monkeypatch.setattr(
+            acceptance, "CRITERIA", tuple(lambda samples, seed, fuel, r=r: r for r in results)
+        )
+
+    def test_json_is_the_golden(self, capsys, monkeypatch):
+        self.recorded(monkeypatch)
+        code, out, err = run(capsys, "--json", "suite")
+        assert (code, out, err) == (0, self.GOLDEN.read_text(), "")
+
+    def test_plain_run_prints_a_line_per_criterion(self, capsys, monkeypatch):
+        self.recorded(monkeypatch)
+        code, out, _ = run(capsys, "suite")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 12
+        assert all(line.startswith(f"[{i:2d}] PASS ") for i, line in enumerate(lines, start=1))
+
+    def test_one_failure_exits_1(self, capsys, monkeypatch):
+        self.recorded(monkeypatch, failing=4)
+        code, out, _ = run(capsys, "suite")
+        assert code == 1 and out.count("PASS") == 11 and out.count("FAIL") == 1
+
+
 class TestTrace:
     def test_trefoil(self, capsys):
         code, out, err = run(capsys, "trace", "trefoil")
@@ -303,6 +353,14 @@ class TestTrace:
         assert code == 0 and out.strip() == "Tr (Tr o B Tr o B C o C)" and "0 -> 2" in err
         code, out, err = run(capsys, "trace", "eps")
         assert code == 0 and out.strip() == "Tr (C o B C o B B o B)" and "2 -> 0" in err
+
+
+class TestParseErrors:
+    def test_error_names_the_offending_character(self, capsys):
+        code, _, err = run(capsys, "norm", "-d", "planar", "a $")
+        assert (code, err) == (1, "error: unexpected character '$' (at position 2)\n")
+        code, _, err = run(capsys, "eq", "-s", "bci", "B  %", "I")
+        assert (code, err) == (1, "error: unexpected character '%' at 3\n")
 
 
 class TestStdin:

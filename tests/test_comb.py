@@ -345,6 +345,21 @@ class TestBracketAbstraction:
             with pytest.raises(CombError, match=r"indeterminate under \*"):
                 beta_check_abstraction(p, sig, samples=1)
 
+    @pytest.mark.parametrize("exhausted, verdict", [(40, Verdict.EQUAL), (41, Verdict.FUEL_EXHAUSTED)])
+    def test_fuel_retry_budget(self, monkeypatch, exhausted, verdict):
+        # two samples may redraw 20 * 2 times: the 41st exhausted draw fails
+        real, calls = comb.comb_equal, []
+
+        def exhausting(*args, **kwargs):
+            calls.append(1)
+            if 1 < len(calls) <= 1 + exhausted:  # the first call is the fresh-constant check
+                return Verdict.FUEL_EXHAUSTED
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(comb, "comb_equal", exhausting)
+        assert beta_check_abstraction(parse_cterm("a x0 x1"), BCI, samples=2) is verdict
+        assert len(calls) == 1 + exhausted + (2 if verdict is Verdict.EQUAL else 0)
+
 
 class TestAxiomSuites:
     def test_row_inventories(self):
@@ -399,6 +414,25 @@ class TestAxiomSuites:
                     calls.clear()
                     comb._check_instance(parse_cterm(lhs), parse_cterm(rhs), sig, 10_000)
                     assert len(calls) == 2, (sig.tag, ax.name)
+
+    @pytest.mark.parametrize("exhausted, status", [(40, "pass"), (41, "fail")])
+    def test_fuel_retry_budget(self, monkeypatch, exhausted, status):
+        # two samples may redraw 20 * 2 times: the 41st exhausted draw fails
+        real, calls = comb._check_instance, []
+
+        def exhausting(*args):
+            calls.append(1)
+            if len(calls) <= exhausted:
+                return Verdict.FUEL_EXHAUSTED, "<no normal form>", "<no normal form>"
+            return real(*args)
+
+        monkeypatch.setattr(comb, "_check_instance", exhausting)
+        report = run_axiom(comb.AXIOM_TABLES["BCI"][0], BCI, samples=2)
+        assert report.status == status
+        if status == "fail":
+            assert (report.lhs_nf, report.rhs_nf, len(calls)) == ("<fuel>", "<fuel>", 41)
+        else:
+            assert len(calls) == 42
 
     def test_determinism(self):
         r1 = [asdict(r) for r in axiom_suite(BCI, samples=5, seed=9)]

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operadforge import comb, terms
-from operadforge.braids import parse_braid
+from operadforge.braids import BraidWord, parse_braid
 from operadforge.normalize import Verdict, canonical_equal
 from operadforge.terms import (
     App,
@@ -19,11 +21,32 @@ from operadforge.terms import (
     check_discipline,
     parse,
     pretty,
+    tree_lines,
     wires,
 )
 from normalize_oracle import subst
 
 P, L, BR, CA = Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def _braid_literals(draw):
+    """(text, word): a braid literal under random spacing, with a letter
+    written straight after the one before it wherever its sign allows."""
+    n = draw(st.integers(0, 5))
+    letters = []
+    if n >= 2:
+        letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+        letters = draw(st.lists(letter, max_size=6))
+    text = "{" + draw(_SPACES) + str(n) + draw(_SPACES) + ";"
+    for a in letters:
+        sep = draw(_SPACES)
+        if not sep and a > 0 and text[-1].isdigit():
+            sep = " "
+        text += sep + str(a)
+    return text + draw(_SPACES) + "}", BraidWord(n, tuple(letters))
 
 
 class TestParse:
@@ -48,9 +71,24 @@ class TestParse:
         assert parse(r"\x. \x. x") == Lam(Lam(Var(0)))
 
     def test_errors_carry_positions(self):
-        for bad in (r"\x.", "(a b", r"\. x", "[{2; 1} (a b)", "a )", ""):
+        for bad in (r"\x.", "(a b", r"\. x", "[{2; 1} (a b)", "[{2; 5}] (a b)", "a )", ")", ""):
             with pytest.raises(ParseError):
                 parse(bad)
+
+    def test_error_names_the_character_at_its_position(self):
+        # both syntaxes skip the whitespace before a token, not just past it
+        with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 2\)"):
+            parse("a $")
+        with pytest.raises(comb.CombError, match=r"^unexpected character '%' at 3$"):
+            comb.parse_cterm("B  %")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_braid_literals())
+    @example(("{3; 1-2}", BraidWord(3, (1, -2))))
+    def test_braid_literal_means_the_same_inside_a_term(self, case):
+        text, word = case
+        assert parse_braid(text) == word
+        assert parse(f"[{text}] a") == BraidNode(word, Const("a"))
 
 
 class TestPrint:
@@ -88,6 +126,26 @@ class TestPrint:
             c = sample_closed(BCPMI, rng, max_depth=2)
             t = normalize(to_lambda(c, BR), BR)
             assert parse(pretty(t)) == t
+
+
+class TestTreeLines:
+    def test_binder_names_avoid_constants_as_pretty_does(self):
+        t = parse(r"\y. y x")
+        assert pretty(t) == r"\x0. x0 x"
+        assert list(tree_lines(t)) == ["lam x0", "  app", "    var x0", "    const x"]
+
+    def test_braid_node(self):
+        assert list(tree_lines(parse(r"\f x y. [{3; 1}] (f y x)"))) == [
+            "lam x",
+            "  lam y",
+            "    lam z",
+            "      braid {3; 1}",
+            "        app",
+            "          app",
+            "            var x",
+            "            var z",
+            "          var y",
+        ]
 
 
 class TestWires:
