@@ -240,7 +240,9 @@ def shift_strands(u: BraidWord, by: int) -> BraidWord:
 
 # -- text syntax --------------------------------------------------------------
 
-_LETTER = r"-?\d+"
+# (?!\d) makes a letter take its whole digit run, so a literal splits into
+# letters one way only and a failed match backtracks in linear time.
+_LETTER = r"-?\d+(?!\d)"
 _BRAID_RE = re.compile(rf"\s*\{{\s*(\d+)\s*;((?:\s*{_LETTER})*)\s*\}}\s*")
 
 

@@ -236,7 +236,7 @@ class _CParser(terms.Tokens):
             if val == "o":
                 if optional:
                     return None
-                raise CombError(f"misplaced 'o' at {pos}")
+                raise self.error("misplaced 'o'", pos)
             self.next()
             out = Prim(val) if val in PRIM_NAMES else ConstRef(val)
         elif kind == "lpar":
@@ -246,7 +246,7 @@ class _CParser(terms.Tokens):
         elif optional:
             return None
         else:
-            raise CombError(f"unexpected token {val!r} at {pos}")
+            raise self.error(f"unexpected token {val!r}", pos)
         while True:
             tok = self.peek()
             if tok is not None and tok[0] == "star":

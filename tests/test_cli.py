@@ -421,6 +421,15 @@ class TestModuleEntryPoint:
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert done.returncode == 0 and done.stdout == "Equal\n"
 
+    def test_long_braid_letter_exits_1_at_once(self):
+        # the exit codes hold on a literal whose match would backtrack
+        # exponentially if a digit run could be split into several letters
+        env = dict(os.environ, PYTHONPATH=str(Path(operadforge.__file__).parent.parent))
+        term = "[{3; " + "1" * 40 + " a}] b"
+        argv = [sys.executable, "-m", "operadforge", "norm", "-d", "braided", term]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 1 and done.stderr.startswith("error: malformed braid literal")
+
 
 # Well-formed sources that the fuzz below mangles, and the characters it
 # inserts into them and deletes from them.

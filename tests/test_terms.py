@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import operadforge
 from operadforge import comb, terms
 from operadforge.braids import BraidWord, parse_braid
 from operadforge.normalize import Verdict, canonical_equal
@@ -89,6 +95,26 @@ class TestParse:
         text, word = case
         assert parse_braid(text) == word
         assert parse(f"[{text}] a") == BraidNode(word, Const("a"))
+
+    def test_long_letter_is_rejected_at_once(self):
+        # A letter takes its whole digit run.  Were a run of 40 digits split
+        # into letters, a literal failing after it would backtrack over 2**39
+        # splits, so the check runs in a child process that a timeout can end.
+        code = (
+            "from operadforge.braids import parse_braid\n"
+            "from operadforge.terms import ParseError, parse\n"
+            "bad = '{3; ' + '1' * 40 + ' a}'\n"
+            "for reader, text, error in ((parse_braid, bad, ValueError), (parse, f'[{bad}] a', ParseError)):\n"
+            "    try:\n"
+            "        reader(text)\n"
+            "    except error as e:\n"
+            "        print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(operadforge.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        literal = "'{3; " + "1" * 40 + " a}'"
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"malformed braid literal: {literal}\nmalformed braid literal: {literal} (at position 1)\n"
 
 
 class TestPrint:
