@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import acceptance, braids, comb, operad, terms
 from .normalize import DEFAULT_FUEL, FuelExhausted, Verdict, lam_equal, normalize
-from .terms import Discipline, DisciplineError, TermError
+from .terms import Discipline, DisciplineError
 
 
 class CliError(ValueError):
@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as e:
         print(f"FuelExhausted: {e}", file=sys.stderr)
         return 2
-    except (TermError, DisciplineError, comb.CombError, braids.DimensionError, ValueError) as e:
+    except ValueError as e:  # every input error of the package is one
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -317,7 +317,7 @@ def to_lambda(c: CTerm, d: Discipline) -> LTerm:
             raise UnsupportedTrace("Tr has no lambda image")
         raise CombError(f"primitive {c.name} does not fit the {d.value} discipline")
     if type(c) is Bullet:
-        return terms.Lam(LApp(terms.Var(0), terms.shift(to_lambda(c.arg, d), 1)))
+        return terms.Lam(LApp(terms.Var(0), to_lambda(c.arg, d)))  # the image is closed
     return LConst(c.name)
 
 
@@ -392,12 +392,8 @@ def poly_instantiate(p: CTerm, args: Sequence[CTerm]) -> CTerm:
 
 
 def _abstract_last(p: CTerm, sig: Signature, m: int) -> CTerm:
-    """One abstraction step: remove indeterminate m-1, the last one."""
+    """One abstraction step: remove indeterminate m-1, the last one, which must occur in p."""
     v = m - 1
-    if v not in _indices(p):
-        if sig.discipline.exactly_once:
-            raise CombError(f"variable {v} does not occur ({sig.tag} forbids weakening)")
-        return CApp(K, p)
     if _index(p) == v:
         return I
     # p is an application: nothing else holds an indeterminate
@@ -439,8 +435,14 @@ def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
         raise CombError("polynomial has no variable to abstract")
     if sig.discipline is Discipline.PLANAR and order != sorted(order):
         raise CombError("planar polynomial requires variables in order")
+    occurring = set(order)  # abstracting one indeterminate keeps the others
     for m in range(max(order) + 1, 0, -1):
-        p = _abstract_last(p, sig, m)
+        if m - 1 in occurring:
+            p = _abstract_last(p, sig, m)
+        elif sig.discipline.exactly_once:
+            raise CombError(f"variable {m - 1} does not occur ({sig.tag} forbids weakening)")
+        else:
+            p = CApp(K, p)
     check_signature(prims(p), sig)
     return p
 
@@ -698,14 +700,10 @@ _S_WORD_SRC = (
 )
 
 
-def classical_S_polynomial() -> CTerm:
-    return parse_cterm("x0 x2 (x1 x2)")
-
-
 def derive_classical_S() -> CTerm:
     """A duplicating composite over B, C, W acting like the classical S, in
     the BCIWK signature."""
-    derived = bracket_abstract(classical_S_polynomial(), BCIWK)
+    derived = bracket_abstract(parse_cterm("x0 x2 (x1 x2)"), BCIWK)
     frozen = parse_cterm(_S_WORD_SRC)
     if comb_equal(derived, frozen, BCIWK) is not Verdict.EQUAL:
         raise AssertionError("derived duplicator no longer matches the frozen word")

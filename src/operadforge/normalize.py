@@ -80,7 +80,6 @@ from .terms import (
     Discipline,
     LTerm,
     Lam,
-    TermError,
     Var,
     app,
     beta_step_at,
@@ -145,11 +144,9 @@ def _canon(t: LTerm) -> LTerm:
     if isinstance(t, App):
         out = canon_app(canon_braids(t.fn), canon_braids(t.arg))
         same = type(out) is App and out.fn is t.fn and out.arg is t.arg
-    elif isinstance(t, BraidNode):
+    else:  # a BraidNode: leaves are canonical, so `canon_braids` returned them
         out = canon_wrap(t.braid, canon_braids(t.body))
         same = type(out) is BraidNode and out.braid is t.braid and out.body is t.body
-    else:
-        raise TermError(f"unknown node {t!r}")
     return t if same else out
 
 
@@ -395,13 +392,11 @@ def canonical_equal(t1: LTerm, t2: LTerm) -> Verdict:
 
 
 def _split(delta: BraidWord, n: int) -> tuple[BraidWord | None, BraidWord | None] | None:
-    """delta over an application whose argument rides strands 1..n, as the
-    pair (argument part, function part), each None when trivial; None when
-    delta is not the direct sum of its two parts."""
+    """delta over an application whose argument rides strands 1..n (n may be
+    all of them), as the pair (argument part, function part), each None when
+    trivial; None when delta is not the direct sum of its two parts."""
     if n == 0:
         return None, delta
-    if n == delta.strands:
-        return delta, None
     if any(k > n for k in underlying_permutation(delta).image[:n]):
         return None
     rest = delta.strands - n

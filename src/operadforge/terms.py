@@ -228,7 +228,7 @@ def wires(t: LTerm) -> tuple[int, ...]:
         ws = tuple(k - 1 for k in wires(t.body) if k > 0)
     elif isinstance(t, App):
         ws = wires(t.fn) + wires(t.arg)
-    elif isinstance(t, BraidNode):
+    else:  # BraidNode: a Var's or Const's wires are set when it is built
         inner = wires(t.body)
         if t.braid.strands != len(inner):
             raise TermError(
@@ -236,8 +236,6 @@ def wires(t: LTerm) -> tuple[int, ...]:
             )
         rev = list(reversed(inner))
         ws = tuple(reversed(permute_contents(t.braid, rev)))
-    else:
-        raise TermError(f"unknown node {t!r}")
     t._wires = ws
     return ws
 
@@ -309,8 +307,8 @@ def replace_consts(
 
 def canon_app(fn: LTerm, arg: LTerm) -> LTerm:
     """Canonical App(fn, arg): the children's braids are lifted above the
-    application, the argument's on the strands below the function's, and
-    composed argument first; the lifted word is dropped when trivial."""
+    application as one word, the direct sum of the argument's (below) and
+    the function's; it is nontrivial, as a canonical child's word is."""
     wf = wa = None
     if type(fn) is BraidNode:
         wf, fn = fn.braid, fn.body
@@ -319,14 +317,11 @@ def canon_app(fn: LTerm, arg: LTerm) -> LTerm:
     node = App(fn, arg)
     if wf is None and wa is None:
         return node
-    nf = len(wires(fn))
-    na = len(wires(arg))
-    lifted_f = shift_strands(wf, na) if wf is not None else trivial(nf + na)
-    lifted_a = direct_sum([wa, trivial(nf)]) if wa is not None else trivial(nf + na)
-    word = braid_compose(lifted_a, lifted_f)
-    if braid_is_trivial(word):
-        return node
-    return BraidNode(word, node, canon=node.canon)
+    if wa is None:
+        wa = trivial(len(wires(arg)))
+    if wf is None:
+        wf = trivial(len(wires(fn)))
+    return BraidNode(direct_sum([wa, wf]), node, canon=node.canon)
 
 
 def canon_wrap(word: BraidWord, body: LTerm) -> LTerm:
@@ -346,17 +341,15 @@ def canon_wrap(word: BraidWord, body: LTerm) -> LTerm:
 # -- shifting and contraction ---------------------------------------------------
 
 def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
-    if by == 0 or t.max_free <= cutoff:
+    if by == 0 or t.max_free <= cutoff:  # so does every Const, being closed
         return t
     if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= cutoff else t
+        return Var(t.index + by)
     if isinstance(t, Lam):
         return Lam(shift(t.body, by, cutoff + 1))
     if isinstance(t, App):
         return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
-    if isinstance(t, BraidNode):
-        return BraidNode(t.braid, shift(t.body, by, cutoff), canon=t.canon)
-    raise TermError(f"unknown node {t!r}")
+    return BraidNode(t.braid, shift(t.body, by, cutoff), canon=t.canon)
 
 
 def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
@@ -388,7 +381,7 @@ def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
 def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int]) -> LTerm:
     """`beta_step_at`'s traversal: t, found under `depth` binders of M,
     with the group's binders replaced; counts each binder's uses."""
-    if t.max_free <= depth:
+    if t.max_free <= depth:  # so does every Const, being closed
         return t
     if isinstance(t, Var):
         j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
@@ -400,28 +393,26 @@ def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int])
         return Lam(_subst(t.body, depth + 1, g, args, uses))
     if isinstance(t, App):
         return canon_app(_subst(t.fn, depth, g, args, uses), _subst(t.arg, depth, g, args, uses))
-    if isinstance(t, BraidNode):
-        outer = wires(t)
-        braid = t.braid
-        blocks = None  # once cabled: the width of each outer wire's block
-        for j in range(g):
-            v = depth + g - 1 - j
-            if v not in outer:
-                continue
-            if blocks is None:
-                blocks = [1] * len(outer)
-            elif braid_is_trivial(braid):
-                return _subst(t.body, depth, g, args, uses)  # the last cabling left it trivial
-            if outer.count(v) != 1:
-                raise DisciplineError("duplicated wire under a braid node")
-            p = outer.index(v)
-            blocks[p] = len(wires(args[j]))
-            if blocks[p] != 1:  # cabling a strand to width 1 keeps the word
-                widths = [1] * braid.strands
-                widths[sum(blocks[p + 1 :])] = blocks[p]
-                braid = cable(braid, widths)
-        return canon_wrap(braid, _subst(t.body, depth, g, args, uses))
-    raise TermError(f"unknown node {t!r}")
+    outer = wires(t)
+    braid = t.braid
+    blocks = None  # once cabled: the width of each outer wire's block
+    for j in range(g):
+        v = depth + g - 1 - j
+        if v not in outer:
+            continue
+        if blocks is None:
+            blocks = [1] * len(outer)
+        elif braid_is_trivial(braid):
+            return _subst(t.body, depth, g, args, uses)  # the last cabling left it trivial
+        if outer.count(v) != 1:
+            raise DisciplineError("duplicated wire under a braid node")
+        p = outer.index(v)
+        blocks[p] = len(wires(args[j]))
+        if blocks[p] != 1:  # cabling a strand to width 1 keeps the word
+            widths = [1] * braid.strands
+            widths[sum(blocks[p + 1 :])] = blocks[p]
+            braid = cable(braid, widths)
+    return canon_wrap(braid, _subst(t.body, depth, g, args, uses))
 
 
 # -- discipline checking ------------------------------------------------------
@@ -467,9 +458,7 @@ def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:
     elif isinstance(t, BraidNode):
         if d is not Discipline.BRAIDED:
             return f"braid node not allowed in {d.value} discipline"
-        inner = wires(t.body)
-        if t.braid.strands != len(inner):
-            return f"braid on {t.braid.strands} strands over body with {len(inner)} wires"
+        wires(t)  # a word whose width is not the body's wire count raises
         why = _check(t.body, d, bit)
     elif isinstance(t, Lam):
         if d is not Discipline.CARTESIAN:
@@ -482,10 +471,8 @@ def _check(t: LTerm, d: Discipline, bit: int) -> Optional[str]:
                     return "bound variable is not the last use in its body"
                 return "abstraction does not bind the last wire (missing braid?)"
         why = _check(t.body, d, bit)
-    elif isinstance(t, (Var, Const)):
+    else:  # Var or Const
         why = None
-    else:
-        raise TermError(f"unknown node {t!r}")
     if why is None:
         t.checked |= bit
     return why

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from operadforge import operad
 from operadforge.braids import BraidWord
+
+# Each run draws the same examples and keeps no example database, so what a
+# run reaches, and any failure it finds, repeats; each test keeps its own
+# `max_examples`.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

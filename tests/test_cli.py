@@ -379,9 +379,10 @@ class TestEnvFuel:
         assert code == 2
 
     def test_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPERADFORGE_FUEL", "zero")
-        code, _, err = run(capsys, "norm", "-d", "planar", r"\x. x")
-        assert code == 1
+        for raw, message in [("zero", "must be an integer"), ("0", "must be positive")]:
+            monkeypatch.setenv("OPERADFORGE_FUEL", raw)
+            code, _, err = run(capsys, "norm", "-d", "planar", r"\x. x")
+            assert code == 1 and message in err
 
 
 class TestUsageErrors:

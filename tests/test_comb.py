@@ -304,6 +304,23 @@ class TestBracketAbstraction:
         with pytest.raises(CombError):
             bracket_abstract(p, BIBULLET)
 
+    def test_weakening_reads_the_indeterminates_once(self, monkeypatch):
+        # x300 alone is abstracted to I and then weakened 300 times by K; the
+        # indices are listed once, not again over each growing K (K (.. I))
+        real, calls = comb._indices, []
+
+        def counting(p):
+            calls.append(1)
+            return real(p)
+
+        monkeypatch.setattr(comb, "_indices", counting)
+        n = 300
+        expected = I
+        for _ in range(n):
+            expected = CApp(K, expected)
+        assert bracket_abstract(ConstRef(f"x{n}"), BCIWK) == expected
+        assert len(calls) <= n
+
     def test_certification_across_signatures(self, rng):
         polys = [
             CApp(x0, x1),

@@ -57,11 +57,20 @@ CLI_ARGVS = [
     ["norm", "-d", "cartesian", "W K M"],
     ["norm", "-d", "cartesian", "C+ M"],
     ["--fuel", "50", "norm", "-d", "cartesian", r"(\x. x x) (\x. x x)"],
+    # a braid wider than its body, an unknown discipline and fuel below 1.
+    ["norm", "-d", "braided", "[{3; 1}] c"],
+    ["norm", "-d", "nope", "x"],
+    ["--fuel", "0", "norm", "-d", "planar", "x"],
     # eq, by discipline and by signature.
     ["eq", "-d", "planar", "B I", "I"],
     ["eq", "-d", "linear", "C (C M)", "M"],
     ["eq", "-d", "braided", "C+ (C- M)", "M"],
     ["eq", "-d", "braided", "C+ (C+ M)", "M"],
+    # the pending braid reaches an argument that rides every strand
+    ["eq", "-d", "braided", r"\x y. [{2; 1}] (c (y x))", r"\x y. [{2; -1}] (c (y x))"],
+    # function parts of different wire counts hold braids of different widths
+    ["eq", "-d", "braided", r"\x y. h (\z. [{3; 1}] (g x z y)) c",
+     r"\x y. h (\z. [{2; 1}] (g z x)) (k y)"],
     ["eq", "-d", "cartesian", "W K", "I"],
     ["--fuel", "30", "eq", "-d", "cartesian", r"(\x. x x) (\x. x x)", r"\y. y"],
     ["eq", "-s", "bibullet", "B I", "I"],
@@ -71,6 +80,7 @@ CLI_ARGVS = [
     ["eq", "-s", "bcpmi", "Tr (Tr (C+ o C+ o C+))", "I"],
     ["eq", "-s", "bciwk", "W o K", "I"],
     ["eq", "a", "b"],
+    ["eq", "-s", "nope", "x", "y"],
     # member, per signature.
     ["member", "-s", "bibullet", "a* o B", "1"],
     ["member", "-s", "bci", "C o B", "2"],
@@ -84,6 +94,8 @@ CLI_ARGVS = [
     ["arity", "B"],
     ["arity", "-s", "bcpmi", "C+"],
     ["arity", "--bound", "2", "C I"],
+    # braid, with a negative width.
+    ["braid", "cable", "{2; 1}", "-1", "1"],
     # trace syntax.
     ["trace", "trefoil"],
     ["trace", "eta"],

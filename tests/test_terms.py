@@ -77,7 +77,9 @@ class TestParse:
         assert parse(r"\x. \x. x") == Lam(Lam(Var(0)))
 
     def test_errors_carry_positions(self):
-        for bad in (r"\x.", "(a b", r"\. x", "[{2; 1} (a b)", "[{2; 5}] (a b)", "a )", ")", ""):
+        for bad in (
+            r"\x.", r"\x (", "(a b", r"\. x", "[{2; 1} (a b)", "[{2; 5}] (a b)", "a )", ")", ""
+        ):
             with pytest.raises(ParseError):
                 parse(bad)
 
