@@ -341,7 +341,7 @@ def canon_wrap(word: BraidWord, body: LTerm) -> LTerm:
 # -- shifting and contraction ---------------------------------------------------
 
 def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
-    if by == 0 or t.max_free <= cutoff:  # so does every Const, being closed
+    if by == 0 or t.max_free <= cutoff:  # every Const, being closed, returns here
         return t
     if isinstance(t, Var):
         return Var(t.index + by)
@@ -381,7 +381,7 @@ def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
 def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int]) -> LTerm:
     """`beta_step_at`'s traversal: t, found under `depth` binders of M,
     with the group's binders replaced; counts each binder's uses."""
-    if t.max_free <= depth:  # so does every Const, being closed
+    if t.max_free <= depth:  # every Const, being closed, returns here
         return t
     if isinstance(t, Var):
         j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
