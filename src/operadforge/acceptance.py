@@ -76,7 +76,7 @@ def _relator_search_trivial(word: tuple[int, ...]) -> bool:
     Independent of handle reduction.
     """
     u = BraidWord(3, word)
-    if exponent_sum(u) != 0 or not underlying_permutation(u).is_identity():
+    if exponent_sum(u) != 0 or underlying_permutation(u) != (1, 2, 3):
         return False
     seen = {word}
     frontier = deque([(word, 0)])

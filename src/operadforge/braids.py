@@ -33,24 +33,6 @@ class DimensionError(ValueError):
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """One-line permutation of {1..n}: image[k-1] is where k ends up."""
-
-    size: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(1, self.size + 1)):
-            raise ValueError(f"not a permutation of 1..{self.size}: {self.image}")
-
-    def is_identity(self) -> bool:
-        return all(self.image[k] == k + 1 for k in range(self.size))
-
-    def __call__(self, k: int) -> int:
-        return self.image[k - 1]
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """Element of the braid group on `strands` strands, as a generator word."""
 
@@ -66,9 +48,6 @@ class BraidWord:
 
     def __str__(self) -> str:
         return format_braid(self)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def trivial(n: int) -> BraidWord:
@@ -91,18 +70,6 @@ def exponent_sum(u: BraidWord) -> int:
     return sum(1 if a > 0 else -1 for a in u.letters)
 
 
-def underlying_permutation(u: BraidWord) -> Permutation:
-    """Forget crossing signs: each letter becomes an adjacent transposition."""
-    contents = list(range(1, u.strands + 1))
-    for a in u.letters:
-        i = abs(a)
-        contents[i - 1], contents[i] = contents[i], contents[i - 1]
-    image = [0] * u.strands
-    for pos, strand in enumerate(contents, start=1):
-        image[strand - 1] = pos
-    return Permutation(u.strands, tuple(image))
-
-
 def permute_contents(u: BraidWord, items: Sequence) -> list:
     """Push a list riding on the strands through the diagram of u."""
     if len(items) != u.strands:
@@ -112,6 +79,15 @@ def permute_contents(u: BraidWord, items: Sequence) -> list:
         i = abs(a)
         contents[i - 1], contents[i] = contents[i], contents[i - 1]
     return contents
+
+
+def underlying_permutation(u: BraidWord) -> tuple[int, ...]:
+    """Forget crossing signs: the one-line image, whose entry k-1 is where the
+    strand that starts at k ends up."""
+    image = [0] * u.strands
+    for pos, strand in enumerate(permute_contents(u, range(1, u.strands + 1)), start=1):
+        image[strand - 1] = pos
+    return tuple(image)
 
 
 # -- handle reduction ---------------------------------------------------------
@@ -168,7 +144,7 @@ def braid_is_trivial(u: BraidWord) -> bool:
         return True
     if exponent_sum(u) != 0:
         return False
-    if not underlying_permutation(u).is_identity():
+    if underlying_permutation(u) != tuple(range(1, u.strands + 1)):
         return False
     return len(handle_reduce(u).letters) == 0
 

@@ -199,7 +199,7 @@ def cmd_braid(args) -> int:
         return 0
     if op == "perm":
         u = braids.parse_braid(args.args[0])
-        print(" ".join(str(k) for k in braids.underlying_permutation(u).image))
+        print(" ".join(str(k) for k in braids.underlying_permutation(u)))
         return 0
     if op == "sum":
         ws = [braids.parse_braid(a) for a in args.args]

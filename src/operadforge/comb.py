@@ -391,40 +391,53 @@ def poly_instantiate(p: CTerm, args: Sequence[CTerm]) -> CTerm:
     return p if i is None else args[i]
 
 
-def _abstract_last(p: CTerm, sig: Signature, m: int) -> CTerm:
-    """One abstraction step: remove indeterminate m-1, the last one, which must occur in p."""
-    v = m - 1
+def _bounds(p: CTerm, bounds: dict[int, tuple[float, int]]) -> tuple[float, int]:
+    """The least and the largest indeterminate index in p, (inf, -1) when p
+    is closed, also recorded under the id of each node of p outside a *."""
+    if type(p) is CApp:
+        (lo, hi), (lo_arg, hi_arg) = _bounds(p.fn, bounds), _bounds(p.arg, bounds)
+        b = (lo if lo < lo_arg else lo_arg, hi if hi > hi_arg else hi_arg)
+    else:
+        i = _index(p)
+        b = (float("inf"), -1) if i is None else (i, i)
+    bounds[id(p)] = b
+    return b
+
+
+def _abstract_last(p: CTerm, sig: Signature, v: int, bounds: dict[int, tuple[float, int]]) -> CTerm:
+    """One abstraction step: remove indeterminate v, the largest one, which
+    must occur in p.  `bounds` is `_bounds` of p, read here for occurrence;
+    p keeps its nodes alive, and no node built here is looked up."""
     if _index(p) == v:
         return I
     # p is an application: nothing else holds an indeterminate
-    in_fn = v in _indices(p.fn)
-    in_arg = v in _indices(p.arg)
-    if in_fn and in_arg:
+    in_fn = bounds[id(p.fn)][1] == v
+    lo_arg, hi_arg = bounds[id(p.arg)]
+    if in_fn and hi_arg == v:
         if sig.discipline.exactly_once:
             raise CombError(f"variable {v} duplicated ({sig.tag} forbids contraction)")
-        # split the occurrences: the argument's copies become the fresh
-        # indeterminate xm; abstract both and contract with W.
-        fresh = [ConstRef(f"x{i}") for i in range(v)] + [ConstRef(f"x{m}")]
-        d = _abstract_last(CApp(p.fn, poly_instantiate(p.arg, fresh)), sig, m + 1)
-        d = _abstract_last(d, sig, m)
-        return CApp(W, d)
-    if in_arg:
-        return capp(B, p.fn, _abstract_last(p.arg, sig, m))
+        # the S rule W (C (B B f) g), f = [xv]M, g = [xv]N; a closed g enters as
+        # C I g, as a closed argument does below (only BCIWK, whose exchange is C)
+        f = capp(B, B, _abstract_last(p.fn, sig, v, bounds))
+        g = _abstract_last(p.arg, sig, v, bounds)
+        return CApp(W, capp(C, f, g) if lo_arg < v else capp(B, capp(C, I, g), f))
+    if hi_arg == v:
+        return capp(B, p.fn, _abstract_last(p.arg, sig, v, bounds))
     # occurrences only in the function part
-    if not _indices(p.arg):
+    if hi_arg < 0:
         # the internalization of the closed argument, native or derived
         if sig.discipline is Discipline.PLANAR:
             coef: CTerm = Bullet(p.arg)
         else:
             coef = capp(sig.exchange(True), I, p.arg)
-        return capp(B, coef, _abstract_last(p.fn, sig, m))
+        return capp(B, coef, _abstract_last(p.fn, sig, v, bounds))
     # an exchange, never planar: a planar polynomial keeps its order
     if sig.discipline is Discipline.BRAIDED:
         raise CombError(
             f"a polynomial carries no crossing sign, so {sig.tag} cannot "
             "abstract an exchange"
         )
-    return capp(C, _abstract_last(p.fn, sig, m), p.arg)
+    return capp(C, _abstract_last(p.fn, sig, v, bounds), p.arg)
 
 
 def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
@@ -436,11 +449,13 @@ def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
     if sig.discipline is Discipline.PLANAR and order != sorted(order):
         raise CombError("planar polynomial requires variables in order")
     occurring = set(order)  # abstracting one indeterminate keeps the others
-    for m in range(max(order) + 1, 0, -1):
-        if m - 1 in occurring:
-            p = _abstract_last(p, sig, m)
+    for v in range(max(order), -1, -1):
+        if v in occurring:
+            bounds: dict[int, tuple[float, int]] = {}
+            _bounds(p, bounds)
+            p = _abstract_last(p, sig, v, bounds)
         elif sig.discipline.exactly_once:
-            raise CombError(f"variable {m - 1} does not occur ({sig.tag} forbids weakening)")
+            raise CombError(f"variable {v} does not occur ({sig.tag} forbids weakening)")
         else:
             p = CApp(K, p)
     check_signature(prims(p), sig)

@@ -397,7 +397,7 @@ def _split(delta: BraidWord, n: int) -> tuple[BraidWord | None, BraidWord | None
     trivial; None when delta is not the direct sum of its two parts."""
     if n == 0:
         return None, delta
-    if any(k > n for k in underlying_permutation(delta).image[:n]):
+    if any(k > n for k in underlying_permutation(delta)[:n]):
         return None
     rest = delta.strands - n
     arg = cable(delta, [1] * n + [0] * rest)

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .braids import BraidWord, cable, underlying_permutation
+from .braids import BraidWord, braid_inverse, cable, permute_contents
 from .comb import (
     TR,
     B,
@@ -224,11 +224,7 @@ def check_equivariance(
     k = f.m
     if s.strands != k or len(gs) != k:
         raise ArityError("equivariance check needs matching sizes")
-    # Our permutation image maps a strand's start position to its end
-    # position, which is the inverse of the indexing the displayed law uses;
-    # slot i of the inner composite therefore receives gs[perm(i)].
-    perm = underlying_permutation(s)
-    permuted = [gs[perm(i) - 1] for i in range(1, k + 1)]
+    permuted = permute_contents(braid_inverse(s), gs)
     cabled = cable(s, [g.m for g in gs])
     args = [_part(e, sig) for e in argument_parts(gs)]
     permuted_args = [_part(e, sig) for e in argument_parts(permuted)]

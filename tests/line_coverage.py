@@ -11,7 +11,11 @@ pytest.  It is a script, not a collected test; extra arguments go to pytest:
 
 Something in the run clears the trace function (hypothesis installs its own
 tracer for some phases), so a `pytest_runtest_call` hookwrapper installs it
-again before each test; without that, most of `cli.py` reads as unrun.
+again before each test; without that, most of `cli.py` reads as unrun.  A
+test can still lose it during its call: Python removes a trace function that
+raises, and a `RecursionError` overflows the tracer too.  The hookwrapper
+checks after each call, and the report names every test that lost it, since
+the statements such a test reached after the loss read as unrun.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ PACKAGE = ROOT / "src" / "operadforge"
 # path is the package's.
 _ran: dict[str, set[int]] = {}
 _ours: dict[str, bool] = {}
+# The tests whose call ended without the tracer installed.
+_lost: list[str] = []
 
 
 def _local(frame, event, arg):
@@ -54,6 +60,8 @@ class _Reinstall:
     def pytest_runtest_call(self, item):
         sys.settrace(_global)
         yield
+        if sys.gettrace() is not _global:
+            _lost.append(item.nodeid)
 
 
 def _code_lines(code: types.CodeType, out: set[int]) -> None:
@@ -100,6 +108,9 @@ def main(argv: list[str]) -> int:
         print(f"{path.name}: {len(missed)} statements never run")
         for line, text in missed:
             print(f"  {line:4d}  {text}")
+    print(f"tests that lost the tracer, so that what each reached after the loss reads as unrun: {len(_lost)}")
+    for nodeid in _lost:
+        print(f"  {nodeid}")
     return int(code)
 
 

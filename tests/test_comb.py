@@ -321,6 +321,24 @@ class TestBracketAbstraction:
         assert bracket_abstract(ConstRef(f"x{n}"), BCIWK) == expected
         assert len(calls) <= n
 
+    def test_each_step_reads_the_occurrences_once(self, monkeypatch):
+        # the indices are listed once, up front: a step reads where its
+        # indeterminate occurs from one pass over the polynomial, not by
+        # listing both sides again at every level of its recursion
+        real, calls = comb._indices, []
+
+        def counting(p):
+            calls.append(1)
+            return real(p)
+
+        monkeypatch.setattr(comb, "_indices", counting)
+        chain = parse_cterm(" ".join(f"x{i}" for i in range(40)))
+        pairs = parse_cterm(" ".join(f"(x{i} x{7 * i % 20})" for i in range(20)))
+        for p, sig in ((chain, BCI), (pairs, BCIWK)):
+            calls.clear()
+            bracket_abstract(p, sig)
+            assert len(calls) <= 79  # the nodes of p
+
     def test_certification_across_signatures(self, rng):
         polys = [
             CApp(x0, x1),

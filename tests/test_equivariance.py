@@ -78,7 +78,7 @@ def law_sides(f, gs, s, sig):
     with the cabling by `operad.cable`, so that a control that replaces it
     for the check replaces it here too."""
     perm = underlying_permutation(s)
-    permuted = [gs[perm(i) - 1] for i in range(1, f.m + 1)]
+    permuted = [gs[perm[i - 1] - 1] for i in range(1, f.m + 1)]
     cabled = operad.cable(s, [g.m for g in gs])
     lhs = operad.operad_compose(group_action(f, s, sig), gs, sig)
     rhs = group_action(operad.operad_compose(f, permuted, sig), cabled, sig)
