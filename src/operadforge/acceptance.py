@@ -36,6 +36,7 @@ from .comb import (
     Prim,
     axiom_suite,
     capp,
+    check_law,
     comb_equal,
     derive_classical_S,
     format_cterm,
@@ -171,20 +172,13 @@ def criterion_6(samples: int, seed: int, fuel: int) -> Result:
     base = _suite_criterion("cartesian axiom suite", BCIWK, samples, seed, fuel)
     if not base.ok:
         return base
-    S = derive_classical_S()
-    rng = random.Random(seed)
-    done = retries = 0
-    while done < samples:
-        a, b, c = (sample_closed(BCIWK, rng) for _ in range(3))
-        v = comb_equal(capp(S, a, b, c), capp(a, c, CApp(b, c)), BCIWK, fuel=fuel)
-        if v is Verdict.FUEL_EXHAUSTED and retries < comb.FUEL_RETRIES_PER_SAMPLE * samples:
-            retries += 1  # the instantiation itself diverges; decides nothing
-            continue
-        if v is not Verdict.EQUAL:
-            return Result(base.name, False, "derived duplicator misbehaves")
-        if comb_equal(capp(Prim("K"), a, b), a, BCIWK, fuel=fuel) is not Verdict.EQUAL:
-            return Result(base.name, False, "K a b != a")
-        done += 1
+    a, b, c = (ConstRef(name) for name in "abc")
+    S, K = derive_classical_S(), Prim("K")
+    law = [(capp(S, a, b, c), capp(a, c, CApp(b, c))), (capp(K, a, b), a)]
+    v, l, r, witness = check_law(law, "abc", BCIWK, samples, seed, fuel)
+    if v is not Verdict.EQUAL:
+        detail = f"S a b c = a c (b c), K a b = a: {v} (lhs {l} vs rhs {r}, witness {witness})"
+        return Result(base.name, False, detail)
     return Result(base.name, True, base.detail + f"; duplicator + K on {samples} samples")
 
 

@@ -393,7 +393,11 @@ def poly_instantiate(p: CTerm, args: Sequence[CTerm]) -> CTerm:
 
 def _bounds(p: CTerm, bounds: dict[int, tuple[float, int]]) -> tuple[float, int]:
     """The least and the largest indeterminate index in p, (inf, -1) when p
-    is closed, also recorded under the id of each node of p outside a *."""
+    is closed, also recorded under the id of each node of p outside a *;
+    a node already recorded is read, not walked."""
+    b = bounds.get(id(p))
+    if b is not None:
+        return b
     if type(p) is CApp:
         (lo, hi), (lo_arg, hi_arg) = _bounds(p.fn, bounds), _bounds(p.arg, bounds)
         b = (lo if lo < lo_arg else lo_arg, hi if hi > hi_arg else hi_arg)
@@ -406,8 +410,8 @@ def _bounds(p: CTerm, bounds: dict[int, tuple[float, int]]) -> tuple[float, int]
 
 def _abstract_last(p: CTerm, sig: Signature, v: int, bounds: dict[int, tuple[float, int]]) -> CTerm:
     """One abstraction step: remove indeterminate v, the largest one, which
-    must occur in p.  `bounds` is `_bounds` of p, read here for occurrence;
-    p keeps its nodes alive, and no node built here is looked up."""
+    must occur in p.  `bounds` holds `_bounds` of p's nodes, read here for
+    occurrence; no node built here is looked up."""
     if _index(p) == v:
         return I
     # p is an application: nothing else holds an indeterminate
@@ -449,9 +453,13 @@ def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
     if sig.discipline is Discipline.PLANAR and order != sorted(order):
         raise CombError("planar polynomial requires variables in order")
     occurring = set(order)  # abstracting one indeterminate keeps the others
+    # one record for every step, which walks only the nodes built since; the
+    # steps' polynomials stay alive, so no recorded id is reused
+    bounds: dict[int, tuple[float, int]] = {}
+    kept = []
     for v in range(max(order), -1, -1):
         if v in occurring:
-            bounds: dict[int, tuple[float, int]] = {}
+            kept.append(p)
             _bounds(p, bounds)
             p = _abstract_last(p, sig, v, bounds)
         elif sig.discipline.exactly_once:
@@ -460,10 +468,6 @@ def bracket_abstract(p: CTerm, sig: Signature) -> CTerm:
             p = CApp(K, p)
     check_signature(prims(p), sig)
     return p
-
-
-# Redraws per requested sample of an instance that exhausts the fuel.
-FUEL_RETRIES_PER_SAMPLE = 20
 
 
 def beta_check_abstraction(
@@ -475,23 +479,14 @@ def beta_check_abstraction(
 ) -> Verdict:
     """Certify an abstraction: applying it to fresh constants (and to sampled
     closed terms) recovers the polynomial."""
-    m = poly_arity(p)
-    abst = bracket_abstract(p, sig)
-    fresh = [ConstRef(f"q{i}") for i in range(m)]
-    v = comb_equal(capp(abst, *fresh), poly_instantiate(p, fresh), sig, fuel=fuel)
-    if v is not Verdict.EQUAL:
-        return v
-    rng = random.Random(seed)
-    done = retries = 0
-    while done < samples:
-        args = [sample_closed(sig, rng) for _ in range(m)]
-        v = comb_equal(capp(abst, *args), poly_instantiate(p, args), sig, fuel=fuel)
-        if v is Verdict.FUEL_EXHAUSTED and retries < FUEL_RETRIES_PER_SAMPLE * samples:
-            retries += 1
-            continue
+    # placeholders that no parsed constant is named, so p's own stay put
+    names = [f"?{i}" for i in range(poly_arity(p))]
+    fresh = [ConstRef(name) for name in names]
+    law = [(capp(bracket_abstract(p, sig), *fresh), poly_instantiate(p, fresh))]
+    for metavars in ((), names):  # the fresh constants, then closed samples
+        v = check_law(law, metavars, sig, samples, seed, fuel)[0]
         if v is not Verdict.EQUAL:
             return v
-        done += 1
     return Verdict.EQUAL
 
 
@@ -643,6 +638,45 @@ def _check_instance(
     return v, terms.pretty(n1), terms.pretty(n2)
 
 
+# Redraws per requested sample of an instance that exhausts the fuel.
+FUEL_RETRIES_PER_SAMPLE = 20
+
+
+def check_law(
+    pairs: Sequence[tuple[CTerm, CTerm]], metavars: Sequence[str], sig: Signature,
+    samples: int, seed: int, fuel: int,
+) -> tuple[Verdict, str, str, Optional[dict[str, str]]]:
+    """Check the equations lhs = rhs of `pairs` together on `samples`
+    conclusive instances, each binding the metavariables in order to seeded
+    `sample_closed` draws; a law without metavariables is one instance.  A
+    cartesian instantiation may fail to normalize within fuel although each
+    sample does alone; it decides nothing and is redrawn, at most
+    FUEL_RETRIES_PER_SAMPLE * samples times (never for a closed law).
+    Returns the verdict, the last printed normal forms (``<fuel>`` once the
+    redraws run out) and, on a failure, the instance's bindings."""
+    rng = random.Random(seed)
+    runs, redraws = (samples, FUEL_RETRIES_PER_SAMPLE * samples) if metavars else (1, 0)
+    done = retries = 0
+    v, l, r = Verdict.EQUAL, "", ""
+    while done < runs:
+        bindings = {name: sample_closed(sig, rng) for name in metavars}
+        for lhs, rhs in pairs:
+            v, l, r = _check_instance(
+                subst_consts(lhs, bindings), subst_consts(rhs, bindings), sig, fuel
+            )
+            if v is not Verdict.EQUAL:
+                break
+        if v is Verdict.EQUAL:
+            done += 1
+        elif v is Verdict.FUEL_EXHAUSTED and retries < redraws:
+            retries += 1
+        else:
+            if v is Verdict.FUEL_EXHAUSTED and metavars:
+                l = r = "<fuel>"
+            return v, l, r, {name: format_cterm(t) for name, t in bindings.items()} or None
+    return v, l, r, None
+
+
 def run_axiom(
     ax: Axiom,
     sig: Signature,
@@ -650,46 +684,10 @@ def run_axiom(
     seed: int = 0,
     fuel: int = DEFAULT_FUEL,
 ) -> AxiomReport:
-    """Check one axiom row.
-
-    Metavariable rows are run on `samples` conclusive seeded instantiations.
-    In the cartesian signature an instantiation may fail to normalize within
-    fuel even though every sample does on its own; such an instance decides
-    nothing about the axiom and is redrawn (bounded retries) rather than
-    counted either way.
-    """
-    rng = random.Random(seed)
-    parsed = [(parse_cterm(l), parse_cterm(r)) for l, r in ax.variants]
-    last = ("", "")
-    if not ax.metavars:
-        for lhs, rhs in parsed:
-            v, l, r = _check_instance(lhs, rhs, sig, fuel)
-            last = (l, r)
-            if v is not Verdict.EQUAL:
-                return AxiomReport(ax.name, "fail", l, r, None)
-        return AxiomReport(ax.name, "pass", *last, None)
-    done = retries = 0
-    while done < samples:
-        bindings = {name: sample_closed(sig, rng) for name in ax.metavars}
-        shown = {name: format_cterm(t) for name, t in bindings.items()}
-        exhausted = False
-        for lhs, rhs in parsed:
-            v, l, r = _check_instance(
-                subst_consts(lhs, bindings), subst_consts(rhs, bindings), sig, fuel
-            )
-            last = (l, r)
-            if v is Verdict.FUEL_EXHAUSTED:
-                exhausted = True
-                break
-            if v is not Verdict.EQUAL:
-                return AxiomReport(ax.name, "fail", l, r, shown)
-        if exhausted:
-            retries += 1
-            if retries > FUEL_RETRIES_PER_SAMPLE * samples:
-                return AxiomReport(ax.name, "fail", "<fuel>", "<fuel>", shown)
-            continue
-        done += 1
-    return AxiomReport(ax.name, "pass", *last, None)
+    """Check one axiom row, all its variants as one law (`check_law`)."""
+    pairs = [(parse_cterm(l), parse_cterm(r)) for l, r in ax.variants]
+    v, l, r, witness = check_law(pairs, ax.metavars, sig, samples, seed, fuel)
+    return AxiomReport(ax.name, "pass" if v is Verdict.EQUAL else "fail", l, r, witness)
 
 
 def axiom_suite(

@@ -108,8 +108,8 @@ class FuelExhausted(Exception):
 
 DEFAULT_FUEL = 10_000
 
-# Divergent cartesian terms can double in size per step; cap growth so a
-# doomed reduction fails fast instead of exhausting memory or the stack.
+# Divergent cartesian terms can double in size per step; cap growth past the
+# input's size so a doomed reduction fails fast instead of exhausting memory.
 SIZE_CAP = 10_000
 
 _MIN_RECURSION = 30_000
@@ -205,14 +205,14 @@ class _NormalOrder:
     checked term, in which each exactly-once binder occurs once; `_contract`
     asserts it of every group it contracts.
     With `fuel` set (cartesian) each step contracts one binder, the steps
-    are counted and the whole term's size is kept up to date against
-    SIZE_CAP.  Eta contractions are not counted against it: they shrink
-    only finished parts of the term, which no later redex contains.
+    are counted and the growth past the input's size is kept up to date
+    against SIZE_CAP.  Eta contractions are not counted against it: they
+    shrink only finished parts of the term, which no later redex contains.
     """
 
-    def __init__(self, fuel: int | None, size: int):
+    def __init__(self, fuel: int | None):
         self.fuel = fuel
-        self.size = size
+        self.grown = 0
         self.steps = 0
 
     def scope(self, t: LTerm) -> LTerm:
@@ -287,9 +287,9 @@ class _NormalOrder:
         self.steps += 1
         if self.steps > self.fuel:
             raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
-        self.size += r.size - (fn.size + arg.size + 1)
-        if self.size > SIZE_CAP:
-            raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {self.steps} steps")
+        self.grown += r.size - (fn.size + arg.size + 1)
+        if self.grown > SIZE_CAP:
+            raise FuelExhausted(f"term grew past {SIZE_CAP} extra nodes after {self.steps} steps")
         return r
 
 
@@ -330,8 +330,8 @@ def normalize(
     check_discipline(t, d, ctx)
     t = bind_context(t, ctx)
     if d.exactly_once:
-        return _NormalOrder(None, 0).scope(canon_braids(t))
-    return _NormalOrder(fuel, t.size).scope(t)
+        return _NormalOrder(None).scope(canon_braids(t))
+    return _NormalOrder(fuel).scope(t)
 
 
 # -- the equality oracle -------------------------------------------------------------

@@ -10,8 +10,9 @@ unmutated copy runs first and must pass.  At the end it prints the totals.
 A survivor is either marked equivalent in its row, with the reason, or it
 names a missing test.  A row whose line `tests/line_coverage.py` lists as
 unrun survives by construction, so the table has none.  It is a script, not
-a collected test; a killed row stops at its first failing test, so the 17 rows
-take about 3 minutes on 2 cores.  The arguments, if any, pick rows by name:
+a collected test; a killed row stops at its first failing test, so the 25 rows
+take about 5 minutes on 2 cores.  A mutant that keeps a loop from ending is
+no row: only the timeout would kill it, while its memory grows.  The arguments, if any, pick rows by name:
 
     python tests/mutation_census.py [name ...]
 """
@@ -174,6 +175,62 @@ MUTANTS = [
         "in_fn = bounds[id(p.fn)][1] == v",
         "in_fn = bounds[id(p.fn)][0] == v",
         "misses the indeterminate in a function part that also holds a smaller one",
+    ),
+    Mutant(
+        "occurrence record walked again",
+        "src/operadforge/comb.py",
+        "    b = bounds.get(id(p))\n    if b is not None:\n        return b\n",
+        "",
+        "walks every node again at each abstraction step, built or not",
+    ),
+    Mutant(
+        "placeholders a polynomial can name",
+        "src/operadforge/comb.py",
+        'names = [f"?{i}" for i in range(poly_arity(p))]',
+        'names = [f"q{i}" for i in range(poly_arity(p))]',
+        "binds a polynomial's own constant q0 in the sampled instances",
+    ),
+    Mutant(
+        "runner budget off by one",
+        "src/operadforge/comb.py",
+        "elif v is Verdict.FUEL_EXHAUSTED and retries < redraws:",
+        "elif v is Verdict.FUEL_EXHAUSTED and retries <= redraws:",
+        "redraws a fuel-exhausted instance once more than the budget",
+    ),
+    Mutant(
+        "closed law redrawn",
+        "src/operadforge/comb.py",
+        "if metavars else (1, 0)",
+        "if metavars else (1, FUEL_RETRIES_PER_SAMPLE * samples)",
+        "repeats a closed law's one instance after it runs out of fuel",
+    ),
+    Mutant(
+        "size cap absolute",
+        "src/operadforge/normalize.py",
+        "    return _NormalOrder(fuel).scope(t)",
+        "    order = _NormalOrder(fuel)\n    order.grown = t.size\n    return order.scope(t)",
+        "counts the input's own size as growth, so a large input is never decided",
+    ),
+    Mutant(
+        "cartesian fuel off by one",
+        "src/operadforge/normalize.py",
+        "if self.steps > self.fuel:",
+        "if self.steps > self.fuel + 1:",
+        "allows one beta step more than the fuel",
+    ),
+    Mutant(
+        "strand counts not compared",
+        "src/operadforge/normalize.py",
+        "if len({w.strands for w in words}) > 1:\n                return Verdict.NOT_EQUAL",
+        "if len({w.strands for w in words}) > 1:\n                return Verdict.EQUAL",
+        "calls equal two normal forms whose braids have different widths",
+    ),
+    Mutant(
+        "handle reduction of the reversed word",
+        "src/operadforge/braids.py",
+        "for a in reversed(u.letters):\n        if todo and todo[-1] == -a:",
+        "for a in u.letters:\n        if todo and todo[-1] == -a:",
+        "spells the reduced word of the reversed braid, trivial exactly when the braid is",
     ),
 ]
 

@@ -125,7 +125,7 @@ def _beta_normalize_once_checked(t: LTerm, innermost: bool) -> LTerm:
 
 
 def _beta_normalize_fuelled(t: LTerm, fuel: int) -> LTerm:
-    steps = 0
+    steps, size = 0, t.size
     while True:
         r = _find_and_reduce(t, innermost=False)
         if r is None:
@@ -133,8 +133,8 @@ def _beta_normalize_fuelled(t: LTerm, fuel: int) -> LTerm:
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no beta-normal form within {fuel} steps")
-        if r.size > SIZE_CAP:
-            raise FuelExhausted(f"term grew past {SIZE_CAP} nodes after {steps} steps")
+        if r.size - size > SIZE_CAP:  # growth past the input's own size
+            raise FuelExhausted(f"term grew past {SIZE_CAP} extra nodes after {steps} steps")
         t = r
 
 

@@ -11,6 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from operadforge import acceptance, operad
+from operadforge.comb import parse_cterm
 from operadforge.normalize import Verdict
 
 SAMPLES = 32
@@ -58,6 +59,15 @@ def test_criterion_05_braided_suite():
 
 def test_criterion_06_cartesian_suite():
     _run(acceptance.criterion_6, 6)
+
+
+def test_criterion_06_names_a_failing_law_and_its_witness(monkeypatch):
+    # B a b c is a (b c), not a c (b c): a wrong duplicator fails on a sample
+    monkeypatch.setattr(acceptance, "derive_classical_S", lambda: parse_cterm("B"))
+    result = acceptance.criterion_6(2, SEED, FUEL)
+    assert not result.ok
+    assert result.detail.startswith("S a b c = a c (b c), K a b = a: NotEqual (lhs ")
+    assert "witness {'a': " in result.detail
 
 
 def test_criterion_07_arity_table():

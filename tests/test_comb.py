@@ -339,6 +339,60 @@ class TestBracketAbstraction:
             bracket_abstract(p, sig)
             assert len(calls) <= 79  # the nodes of p
 
+    def test_each_step_walks_only_the_nodes_it_built(self, monkeypatch):
+        # one occurrence record serves every step: a node is walked when it
+        # is first recorded and read at most once more from each parent, so
+        # the calls stay within twice the output's nodes (a record made
+        # afresh before each step would take 47,204 and 27,130 calls here)
+        real, calls = comb._bounds, []
+
+        def counting(p, bounds):
+            calls.append(1)
+            return real(p, bounds)
+
+        def nodes(t):
+            return 1 + nodes(t.fn) + nodes(t.arg) if type(t) is CApp else 1
+
+        monkeypatch.setattr(comb, "_bounds", counting)
+        chain = parse_cterm(" ".join(f"x{i}" for i in range(40)))
+        pairs = parse_cterm(" ".join(f"(x{i} x{7 * i % 20})" for i in range(20)))
+        for p, sig in ((chain, BCI), (pairs, BCIWK)):
+            calls.clear()
+            out = bracket_abstract(p, sig)
+            assert len(calls) <= 2 * nodes(out)
+
+    def test_certifies_an_input_larger_than_the_size_cap(self):
+        # applied to 20 constants, the abstraction of the 20 pairs
+        # (x_i x_{7i mod 20}) is a lambda term of 17,842 nodes, past
+        # SIZE_CAP before any step; it shrinks to the polynomial
+        pairs = parse_cterm(" ".join(f"(x{i} x{7 * i % 20})" for i in range(20)))
+        assert beta_check_abstraction(pairs, BCIWK, samples=1) is Verdict.EQUAL
+
+    def test_certification_fails_on_a_wrong_abstraction(self, monkeypatch):
+        # the fresh-constant check refutes it, before any sample is drawn
+        real, calls = comb._check_instance, []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(comb, "_check_instance", counting)
+        monkeypatch.setattr(comb, "bracket_abstract", lambda p, sig: capp(C, I))
+        assert beta_check_abstraction(parse_cterm("a x0 x1"), BCI) is Verdict.NOT_EQUAL
+        assert len(calls) == 1
+
+    def test_placeholders_leave_the_polynomials_constants(self, monkeypatch):
+        # q0 is the polynomial's own coefficient, which no instance binds
+        real, rhs_seen = comb._check_instance, []
+
+        def recording(lhs, rhs, sig, fuel):
+            rhs_seen.append(format_cterm(rhs))
+            return real(lhs, rhs, sig, fuel)
+
+        monkeypatch.setattr(comb, "_check_instance", recording)
+        assert beta_check_abstraction(parse_cterm("q0 x0"), BCI, samples=2) is Verdict.EQUAL
+        assert len(rhs_seen) == 3 and all(s.startswith("q0 ") for s in rhs_seen)
+
     def test_certification_across_signatures(self, rng):
         polys = [
             CApp(x0, x1),
@@ -383,15 +437,15 @@ class TestBracketAbstraction:
     @pytest.mark.parametrize("exhausted, verdict", [(40, Verdict.EQUAL), (41, Verdict.FUEL_EXHAUSTED)])
     def test_fuel_retry_budget(self, monkeypatch, exhausted, verdict):
         # two samples may redraw 20 * 2 times: the 41st exhausted draw fails
-        real, calls = comb.comb_equal, []
+        real, calls = comb._check_instance, []
 
-        def exhausting(*args, **kwargs):
+        def exhausting(*args):
             calls.append(1)
             if 1 < len(calls) <= 1 + exhausted:  # the first call is the fresh-constant check
-                return Verdict.FUEL_EXHAUSTED
-            return real(*args, **kwargs)
+                return Verdict.FUEL_EXHAUSTED, "<no normal form>", "<no normal form>"
+            return real(*args)
 
-        monkeypatch.setattr(comb, "comb_equal", exhausting)
+        monkeypatch.setattr(comb, "_check_instance", exhausting)
         assert beta_check_abstraction(parse_cterm("a x0 x1"), BCI, samples=2) is verdict
         assert len(calls) == 1 + exhausted + (2 if verdict is Verdict.EQUAL else 0)
 
@@ -468,6 +522,32 @@ class TestAxiomSuites:
             assert (report.lhs_nf, report.rhs_nf, len(calls)) == ("<fuel>", "<fuel>", 41)
         else:
             assert len(calls) == 42
+
+    def test_closed_law_is_not_redrawn(self, monkeypatch):
+        # W I (W I) is the looping (W I) (W I): a closed law is one instance,
+        # so running out of fuel on it is final
+        real, calls = comb._check_instance, []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(comb, "_check_instance", counting)
+        report = run_axiom(Axiom("loop", (("W I (W I)", "I"),)), BCIWK, samples=2, fuel=50)
+        assert report.status == "fail"
+        assert (report.lhs_nf, report.rhs_nf, report.witness_bindings) == (
+            "<no normal form>", "<no normal form>", None,
+        )
+        assert len(calls) == 1
+
+    def test_witness_refutes_the_law(self):
+        # the bindings check_law returns are an instance on which the law fails
+        law = [(parse_cterm("C a b c"), parse_cterm("a b c"))]
+        v, lhs_nf, rhs_nf, witness = comb.check_law(law, "abc", BCI, 8, 0, 10_000)
+        assert v is Verdict.NOT_EQUAL and lhs_nf != rhs_nf
+        bindings = {name: parse_cterm(src) for name, src in witness.items()}
+        lhs, rhs = (comb.subst_consts(t, bindings) for t in law[0])
+        assert comb_equal(lhs, rhs, BCI) is Verdict.NOT_EQUAL
 
     def test_determinism(self):
         r1 = [asdict(r) for r in axiom_suite(BCI, samples=5, seed=9)]

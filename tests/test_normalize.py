@@ -53,7 +53,7 @@ class TestNormalize:
     @staticmethod
     def _unchecked_pass(t):
         """The exactly-once pass on t, which `normalize` would have rejected."""
-        return normalize_module._NormalOrder(None, 0).scope(canon_braids(t))
+        return normalize_module._NormalOrder(None).scope(canon_braids(t))
 
     def test_pass_asserts_a_single_binder_is_used_once(self):
         # x occurs twice, each time under a braid that cabling x's strand

@@ -269,6 +269,16 @@ def test_cartesian_fuel_and_size_cap():
     assert any("grew past" in o for o in outcomes)
 
 
+def test_size_cap_counts_growth_past_the_input():
+    # (\x. x) applied to 16,383 nodes: past SIZE_CAP before and after the
+    # one step, which both count as shrinking by three
+    big = parse("b")
+    for _ in range(13):
+        big = App(big, big)
+    assert big.size > normalize_module.SIZE_CAP
+    assert assert_same(App(parse(r"\x. x"), big), CA, fuel=1) == ("ok", big)
+
+
 # -- eta contraction -------------------------------------------------------------
 
 
