@@ -282,11 +282,7 @@ def _format(u: CTerm, ctx: str) -> str:
     if isinstance(u, Bullet):
         inner = _format(u.arg, "arg")
         return f"{inner}*"
-    if isinstance(u, Prim):
-        return u.name
-    if isinstance(u, ConstRef):
-        return u.name
-    raise CombError(f"unknown node {u!r}")
+    return u.name  # a Prim or a ConstRef
 
 
 # -- translation to lambda terms ------------------------------------------------------

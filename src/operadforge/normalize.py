@@ -4,15 +4,15 @@ Beta normalization is one normal-order pass: contract head redexes until the
 head is a variable, a constant or an abstraction with nothing applied, then
 normalize the arguments left to right, and the bodies of abstractions.  The
 redexes contracted, and their order, are those of leftmost-outermost
-stepping.  The input is checked first, and contraction keeps the
-discipline, so in the exactly-once disciplines every binder the pass meets
-is used once, every contraction strictly shrinks the term, normalization
-needs no fuel, and a head abstraction's binder group is contracted with
-every argument it can take in one traversal of its body
-(`terms.beta_step_at`), which leaves the term as contracting its binders
-one at a time would.  The cartesian discipline contracts one binder at a
-time, counts its steps against a fuel bound and its size against a cap,
-and reports exhaustion.
+stepping, which contracts a head binder group binder after binder: in
+every discipline the group is contracted with every argument it can take
+in one traversal of its body (`terms.beta_step_at`), which leaves the term
+as contracting its binders one at a time would.  The input is checked
+first, and contraction keeps the discipline, so in the exactly-once
+disciplines every binder is used once, every contraction strictly shrinks
+the term, and normalization needs no fuel.  The cartesian discipline counts
+each binder as a step against a fuel bound and the growth past the input's
+size against a cap, and reports exhaustion.
 
 Braided terms keep their braid nodes in canonical slots: directly under the
 innermost binder of each binder group, or at the root.  Reducts are built
@@ -196,18 +196,18 @@ class _NormalOrder:
     rebuilt.
 
     This contracts the leftmost-outermost redexes, in the order stepping
-    from the root would, without rescanning the normal prefix.  In the
-    exactly-once disciplines the head's binder group takes all the stacked
-    arguments it can in one `beta_step_at`, whose reduct is that of the
-    single contractions; it comes out canonical and the braid it sheds is
-    lifted into its slot (`_Slot.shed`), which leaves the term exactly as
-    canonicalizing it whole after each step would.  The pass expects a
-    checked term, in which each exactly-once binder occurs once; `_contract`
-    asserts it of every group it contracts.
-    With `fuel` set (cartesian) each step contracts one binder, the steps
-    are counted and the growth past the input's size is kept up to date
-    against SIZE_CAP.  Eta contractions are not counted against it: they
-    shrink only finished parts of the term, which no later redex contains.
+    from the root would, without rescanning the normal prefix.  The head's
+    binder group takes all the stacked arguments it can in one
+    `beta_step_at`, whose reduct is that of the single contractions; it
+    comes out canonical and the braid it sheds is lifted into its slot
+    (`_Slot.shed`), which leaves the term exactly as canonicalizing it whole
+    after each step would.  The pass expects a checked term, in which each
+    exactly-once binder occurs once; `_contract` asserts it of every group
+    it contracts.  With `fuel` set (cartesian) each binder is a step, and
+    the steps and the growth past the input's size are kept up to date
+    against the fuel and SIZE_CAP.  Eta contractions are not counted
+    against them: they shrink only finished parts of the term, which no
+    later redex contains.
     """
 
     def __init__(self, fuel: int | None):
@@ -268,26 +268,33 @@ class _NormalOrder:
         return app(head, *args)
 
     def _contract(self, fn: Lam, stack: list, slot: _Slot, right: tuple) -> LTerm:
-        """Contract fn's leading binders with the arguments on top of the
-        stack, and pop those arguments.  Exactly-once: the g >= 1 binders
-        of fn's group that have an argument, in one `beta_step_at`, which
-        must find each of them once.  Counting fuel: one binder, since fuel
-        and SIZE_CAP are charged per step."""
+        """Contract the g >= 1 binders of fn's group that have an argument
+        on top of the stack in one `beta_step_at`, and pop those arguments.
+        Exactly-once: `beta_step_at` must find each binder once.  Counting
+        fuel: each binder is a step and grows the term by uses * (|a| - 1) -
+        |a| - 2, as its own contraction would.  The group is cut so that only
+        its last binder can pass the fuel, and to one binder unless the
+        bound body.size * max |a| on its growth keeps it inside SIZE_CAP; so
+        fuel and cap fire at the binder where stepping fires them."""
+        g, body = 1, fn.body
+        while g < len(stack) and type(body) is Lam:
+            g, body = g + 1, body.body
+        if self.fuel is not None:
+            g = min(g, self.fuel - self.steps + 1)
+            if g > 1 and self.grown + body.size * max(a.size for a in stack[-g:]) > SIZE_CAP:
+                g = 1
+        args = stack[: -g - 1 : -1]
+        r, uses = beta_step_at(fn, args)
+        del stack[-g:]
         if self.fuel is None:
-            g, body = 1, fn.body
-            while g < len(stack) and type(body) is Lam:
-                g, body = g + 1, body.body
-            r, uses = beta_step_at(fn, stack[: -g - 1 : -1])
             if uses.count(1) != g:
                 raise AssertionError(f"exactly-once binders used {uses} times")
-            del stack[-g:]
             return slot.shed(r, right)
-        arg = stack.pop()
-        r = beta_step_at(fn, (arg,))[0]
-        self.steps += 1
+        self.steps += g
         if self.steps > self.fuel:
             raise FuelExhausted(f"no beta-normal form within {self.fuel} steps")
-        self.grown += r.size - (fn.size + arg.size + 1)
+        for u, a in zip(uses, args):
+            self.grown += u * (a.size - 1) - a.size - 2
         if self.grown > SIZE_CAP:
             raise FuelExhausted(f"term grew past {SIZE_CAP} extra nodes after {self.steps} steps")
         return r
@@ -329,9 +336,7 @@ def normalize(
     """
     check_discipline(t, d, ctx)
     t = bind_context(t, ctx)
-    if d.exactly_once:
-        return _NormalOrder(None).scope(canon_braids(t))
-    return _NormalOrder(fuel).scope(t)
+    return _NormalOrder(None if d.exactly_once else fuel).scope(canon_braids(t))
 
 
 # -- the equality oracle -------------------------------------------------------------

@@ -291,9 +291,7 @@ def replace_consts(
     if isinstance(t, BraidNode):
         body = replace_consts(t.body, image, depth)
         return t if body is t.body else BraidNode(t.braid, body)
-    if isinstance(t, Var):
-        return t
-    raise TermError(f"unknown node {t!r}")
+    return t  # a Var
 
 
 # -- canonical braid placement -------------------------------------------------

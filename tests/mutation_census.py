@@ -4,15 +4,20 @@ Each row of `MUTANTS` names a file, an old text that occurs in it exactly
 once, the new text, and what the mutant breaks.  For each row the script
 copies the repository's files (those git tracks or would track) to a
 temporary directory, applies the mutant there, runs Tier-1 with `-x`, and
-prints killed (a test failed, or the run timed out) or survived.  The
-unmutated copy runs first and must pass.  At the end it prints the totals.
+prints killed or survived.  The unmutated copy runs first and must pass.  At
+the end it prints the totals.
+
+Each Tier-1 run is a child process bounded in address space (`MEMORY_BYTES`,
+set by `resource.setrlimit(RLIMIT_AS)` in the child only) and in time
+(`TIMEOUT_S`).  A mutant is killed when a test fails, or when its run
+passes either bound; so a mutant that keeps a loop from ending, or its
+memory from growing, counts as killed.
 
 A survivor is either marked equivalent in its row, with the reason, or it
 names a missing test.  A row whose line `tests/line_coverage.py` lists as
 unrun survives by construction, so the table has none.  It is a script, not
-a collected test; a killed row stops at its first failing test, so the 25 rows
-take about 5 minutes on 2 cores.  A mutant that keeps a loop from ending is
-no row: only the timeout would kill it, while its memory grows.  The arguments, if any, pick rows by name:
+a collected test; a killed row stops at its first failing test, so the 29 rows
+take about 7 minutes on 2 cores.  The arguments, if any, pick rows by name:
 
     python tests/mutation_census.py [name ...]
 """
@@ -20,6 +25,7 @@ no row: only the timeout would kill it, while its memory grows.  The arguments, 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -29,7 +35,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-TIMEOUT_S = 600
+TIMEOUT_S = 300
+MEMORY_BYTES = 2 << 30
+
+
+def _bounded() -> None:
+    """Run in the Tier-1 child before it starts: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
 class Mutant(NamedTuple):
@@ -207,9 +219,39 @@ MUTANTS = [
     Mutant(
         "size cap absolute",
         "src/operadforge/normalize.py",
-        "    return _NormalOrder(fuel).scope(t)",
-        "    order = _NormalOrder(fuel)\n    order.grown = t.size\n    return order.scope(t)",
+        "    return _NormalOrder(None if d.exactly_once else fuel).scope(canon_braids(t))",
+        "    order = _NormalOrder(None if d.exactly_once else fuel)\n"
+        "    order.grown = t.size\n"
+        "    return order.scope(canon_braids(t))",
         "counts the input's own size as growth, so a large input is never decided",
+    ),
+    Mutant(
+        "cap fallback dropped",
+        "src/operadforge/normalize.py",
+        "> SIZE_CAP:\n                g = 1\n",
+        "> SIZE_CAP:\n                pass\n",
+        "contracts a whole group past the binder where the size cap fires",
+    ),
+    Mutant(
+        "group fuel cut off by one",
+        "src/operadforge/normalize.py",
+        "g = min(g, self.fuel - self.steps + 1)",
+        "g = min(g, self.fuel - self.steps + 2)",
+        "contracts one binder past the fuel before it reports exhaustion",
+    ),
+    Mutant(
+        "growth charged once per group",
+        "src/operadforge/normalize.py",
+        "for u, a in zip(uses, args):",
+        "for u, a in zip(uses[:1], args):",
+        "charges only a group's first binder against the size cap",
+    ),
+    Mutant(
+        "steps charged once per group",
+        "src/operadforge/normalize.py",
+        "self.steps += g",
+        "self.steps += 1",
+        "charges a whole group as one step against the fuel",
     ),
     Mutant(
         "cartesian fuel off by one",
@@ -247,7 +289,7 @@ def tier1_passes(tree: Path) -> bool:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     try:
         run = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
-                             capture_output=True, timeout=TIMEOUT_S)
+                             capture_output=True, timeout=TIMEOUT_S, preexec_fn=_bounded)
     except subprocess.TimeoutExpired:
         return False
     return run.returncode == 0

@@ -260,6 +260,9 @@ CARTESIAN_LIMITS = [
     (r"(\x y. x) a ((\x. x x) (\x. x x))", 1),
     (r"(\x y. x) a ((\x. x x) (\x. x x))", 0),
     (r"(\x. a (x x)) (\x. a (x x))", 40),
+    # four two-binder groups over 500 b's, each growing by -3 then 2,991:
+    # the cap fires at the fourth group's second binder, after 8 steps
+    ("k" + (r" ((\x y. c y y y y) a (" + " b" * 500 + "))") * 4, 100),
 ]
 
 
@@ -277,6 +280,25 @@ def test_size_cap_counts_growth_past_the_input():
         big = App(big, big)
     assert big.size > normalize_module.SIZE_CAP
     assert assert_same(App(parse(r"\x. x"), big), CA, fuel=1) == ("ok", big)
+
+
+def test_cartesian_contraction_and_traversal_counts(monkeypatch):
+    """A tripwire for the cartesian work: a binder group takes its arguments
+    in one traversal, as in the exactly-once disciplines, and the binders
+    contracted are those that contracting one binder per traversal
+    contracts."""
+    traverse = normalize_module.beta_step_at
+    counts = {"traversals": 0, "binders": 0}
+
+    def counting(fn, args):
+        counts["traversals"] += 1
+        counts["binders"] += len(args)
+        return traverse(fn, args)
+
+    monkeypatch.setattr(normalize_module, "beta_step_at", counting)
+    assert all(r.status == "pass" for r in comb.axiom_suite(comb.BCIWK, samples=4))
+    # one binder per traversal makes 1,166 traversals
+    assert counts == {"traversals": 635, "binders": 1_166}
 
 
 # -- eta contraction -------------------------------------------------------------
