@@ -16,8 +16,8 @@ memory from growing, counts as killed.
 A survivor is either marked equivalent in its row, with the reason, or it
 names a missing test.  A row whose line `tests/line_coverage.py` lists as
 unrun survives by construction, so the table has none.  It is a script, not
-a collected test; a killed row stops at its first failing test, so the 29 rows
-take about 7 minutes on 2 cores.  The arguments, if any, pick rows by name:
+a collected test; a killed row stops at its first failing test, so the 33 rows
+take about 12 minutes on 2 cores.  The arguments, if any, pick rows by name:
 
     python tests/mutation_census.py [name ...]
 """
@@ -273,6 +273,34 @@ MUTANTS = [
         "for a in reversed(u.letters):\n        if todo and todo[-1] == -a:",
         "for a in u.letters:\n        if todo and todo[-1] == -a:",
         "spells the reduced word of the reversed braid, trivial exactly when the braid is",
+    ),
+    Mutant(
+        "trace equality decided reads as a pass",
+        "src/operadforge/acceptance.py",
+        'return Result("trace syntax", False, f"equality on Tr returned',
+        'return Result("trace syntax", True, f"equality on Tr returned',
+        "passes criterion 12 when an equality involving Tr is decided, not refused",
+    ),
+    Mutant(
+        "classical S derived from swapped arguments",
+        "src/operadforge/comb.py",
+        'parse_cterm("x0 x2 (x1 x2)")',
+        'parse_cterm("x1 x2 (x0 x2)")',
+        "derives S a b c = b c (a c), the classical S with its first two arguments swapped",
+    ),
+    Mutant(
+        "negative index admitted",
+        "src/operadforge/terms.py",
+        "if index < 0:",
+        "if index < -1:",
+        "builds a variable with de Bruijn index -1",
+    ),
+    Mutant(
+        "permute_contents count unchecked",
+        "src/operadforge/braids.py",
+        "if len(items) != u.strands:",
+        "if len(items) > u.strands:",
+        "pushes fewer items than strands through a word",
     ),
 ]
 

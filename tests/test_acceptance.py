@@ -98,3 +98,9 @@ def test_criterion_12_refuses_a_closure_input_not_2_to_2(monkeypatch):
     monkeypatch.setattr(operad, "has_arity", lambda *args, **kwargs: Verdict.NOT_EQUAL)
     result = acceptance.criterion_12(SAMPLES, SEED, FUEL)
     assert not result.ok and result.detail == "closure input is not 2 -> 2"
+
+
+def test_criterion_12_names_what_an_unrefused_trace_equality_returned(monkeypatch):
+    monkeypatch.setattr(acceptance, "comb_equal", lambda *args, **kwargs: Verdict.EQUAL)
+    result = acceptance.criterion_12(SAMPLES, SEED, FUEL)
+    assert not result.ok and result.detail == "equality on Tr returned Equal, wanted a refusal"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadforge.braids import (
     BraidWord,
@@ -16,6 +17,7 @@ from operadforge.braids import (
     format_braid,
     handle_reduce,
     parse_braid,
+    permute_contents,
     remove_strand_one,
     trivial,
     underlying_permutation,
@@ -223,6 +225,15 @@ class TestCable:
             rhs = cable(u, [sum(sub) for sub in ks])
             assert lhs.strands == rhs.strands
             assert braid_equal(lhs, rhs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(paired_braid_words(max_strands=5, max_len=6), st.data())
+    def test_cabling_a_product_is_the_product_of_the_cablings(self, pair, data):
+        # letter for letter, with the widths carried back through t
+        s, t = pair
+        w = data.draw(st.lists(st.integers(0, 3), min_size=s.strands, max_size=s.strands))
+        back = permute_contents(braid_inverse(t), w)
+        assert cable(braid_compose(s, t), w) == braid_compose(cable(s, back), cable(t, w))
 
 
 class TestDirectSum:

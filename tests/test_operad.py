@@ -1,14 +1,25 @@
 import pytest
+from hypothesis import given, settings
 
-from operadforge.braids import BraidWord, braid_compose, cable, parse_braid
+from operadforge.braids import (
+    BraidWord,
+    DimensionError,
+    braid_compose,
+    cable,
+    parse_braid,
+    permute_contents,
+)
 from operadforge.comb import (
     BCI,
     BCIWK,
     BCPMI,
     BIBULLET,
+    CPLUS,
     Bullet,
     CApp,
+    CombError,
     ConstRef,
+    CTerm,
     I,
     Prim,
     UnsupportedTrace,
@@ -16,6 +27,7 @@ from operadforge.comb import (
     comb_equal,
     compose,
     format_cterm,
+    from_lambda_applicative,
     parse_cterm,
     sample_closed,
 )
@@ -40,6 +52,9 @@ from operadforge.operad import (
     trace_syntax,
     trefoil,
 )
+from operadforge.terms import TermError, Var, parse
+
+from conftest import paired_braid_words
 
 a, b, c = ConstRef("a"), ConstRef("b"), ConstRef("c")
 
@@ -52,6 +67,13 @@ def group_action(f: OperadElem, s: BraidWord, sig) -> OperadElem:
     if not s.letters:
         return f
     return OperadElem(compose(action_word(s, sig), f.elem), f.m)
+
+
+def _plug(word: CTerm, inner: CTerm) -> CTerm:
+    """An action word B l1 (B l2 (.. I)) with its innermost I replaced by inner."""
+    if word == I:
+        return inner
+    return CApp(word.fn, _plug(word.arg, inner))
 
 
 class TestHasArity:
@@ -242,6 +264,15 @@ class TestGroupAction:
         rhs = group_action(f, braid_compose(s, t), BCPMI)
         assert comb_equal(lhs.elem, rhs.elem, BCPMI) is Verdict.EQUAL
 
+    @settings(max_examples=100, deadline=None)
+    @given(paired_braid_words(max_strands=5, max_len=6))
+    def test_action_word_of_a_product_nests_the_first_factor(self, pair):
+        # so the action law holds for every pair by construction
+        s, t = pair
+        for sig in (BCI, BCPMI):
+            inner = action_word(s, sig)
+            assert action_word(braid_compose(s, t), sig) == _plug(action_word(t, sig), inner)
+
     def test_strand_count_checked(self):
         with pytest.raises(ArityError):
             group_action(APP_ELEM, BraidWord(3, (1,)), BCPMI)
@@ -336,3 +367,35 @@ class TestTraceSyntax:
 
     def test_cap_inner_word_certifies(self):
         assert has_arity(parse_cterm("C o B C o B B o B"), 3, 1, BCI) is Verdict.EQUAL
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Var(-1), TermError, "negative de Bruijn index"),
+        (lambda: BraidWord(-1), ValueError, "strand count must be non-negative"),
+        (
+            lambda: permute_contents(BraidWord(2), [1]),
+            DimensionError,
+            "item count must equal strand count",
+        ),
+        (lambda: Prim("Q"), CombError, "unknown primitive 'Q'"),
+        (lambda: compose(), CombError, "empty composition"),
+        (
+            lambda: from_lambda_applicative(parse(r"\x. x")),
+            CombError,
+            r"not an applicative constant combination: \x. x",
+        ),
+        (
+            lambda: operad_compose(OperadElem(CPLUS, 0), [], BCPMI, verify=True),
+            ArityError,
+            "composite left the operad (NotEqual)",
+        ),
+    ],
+    ids=["Var", "BraidWord", "permute_contents", "Prim", "compose",
+         "from_lambda_applicative", "operad_compose"],
+)
+def test_input_guards_refuse_with_their_message(build, error, message):
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message
