@@ -108,16 +108,17 @@ def _relator_search_trivial(word: tuple[int, ...]) -> bool:
 
 
 def criterion_1(samples: int, seed: int, fuel: int) -> Result:
-    relations = [
-        ("{4; 3 1}", "{4; 1 3}"),
-        ("{4; 1 2 1}", "{4; 2 1 2}"),
-        ("{4; 2 3 2}", "{4; 3 2 3}"),
+    # (lhs, rhs, wanted): three B4 relations, and sigma1 is not its inverse
+    cases = [
+        ("{4; 3 1}", "{4; 1 3}", True),
+        ("{4; 1 2 1}", "{4; 2 1 2}", True),
+        ("{4; 2 3 2}", "{4; 3 2 3}", True),
+        ("{2; 1}", "{2; -1}", False),
     ]
-    for lhs, rhs in relations:
-        if not braid_equal(parse_braid(lhs), parse_braid(rhs)):
-            return Result("braid relations", False, f"{lhs} != {rhs}")
-    if braid_equal(parse_braid("{2; 1}"), parse_braid("{2; -1}")):
-        return Result("braid relations", False, "sigma1 equals its inverse")
+    for lhs, rhs, wanted in cases:
+        got = braid_equal(parse_braid(lhs), parse_braid(rhs))
+        if got != wanted:
+            return Result("braid relations", False, f"{lhs} = {rhs} is {got}, wanted {wanted}")
 
     letters = (1, -1, 2, -2)
     checked = 0
@@ -185,28 +186,23 @@ def criterion_6(samples: int, seed: int, fuel: int) -> Result:
 # -- criterion 7: the arity table ----------------------------------------------------
 
 def criterion_7(samples: int, seed: int, fuel: int) -> Result:
-    expected = {
-        "I": (0, 0),
-        "B": (2, 1),
-        "C": (2, 2),
-        "K": (1, 0),
-        "W": (1, 2),
-    }
-    for src, want in expected.items():
-        got = operad.infer_arity(parse_cterm(src), bound=4, sig=BCIWK, fuel=fuel)
-        if got != want:
-            return Result("arity table", False, f"{src}: {got} != {want}")
-    S = derive_classical_S()
-    if operad.infer_arity(S, bound=4, sig=BCIWK, fuel=fuel) != (2, 2):
-        return Result("arity table", False, "derived duplicator is not 2 -> 2")
+    # (expression, bound, wanted arity): the primitives, the derived duplicator,
+    # five internalized samples, and the argument flip, which has none
     rng = random.Random(seed)
-    for _ in range(5):
-        p = sample_closed(BCIWK, rng)
-        got = operad.infer_arity(Bullet(p), bound=4, sig=BCIWK, fuel=fuel)
-        if got != (0, 1):
-            return Result("arity table", False, f"{format_cterm(Bullet(p))}: {got} != (0, 1)")
-    if operad.infer_arity(parse_cterm("C I"), bound=3, sig=BCIWK, fuel=fuel) is not None:
-        return Result("arity table", False, "argument flip acquired an arity")
+    table = [
+        (parse_cterm("I"), 4, (0, 0)),
+        (parse_cterm("B"), 4, (2, 1)),
+        (parse_cterm("C"), 4, (2, 2)),
+        (parse_cterm("K"), 4, (1, 0)),
+        (parse_cterm("W"), 4, (1, 2)),
+        (derive_classical_S(), 4, (2, 2)),
+        *((Bullet(sample_closed(BCIWK, rng)), 4, (0, 1)) for _ in range(5)),
+        (parse_cterm("C I"), 3, None),
+    ]
+    for expr, bound, want in table:
+        got = operad.infer_arity(expr, bound=bound, sig=BCIWK, fuel=fuel)
+        if got != want:
+            return Result("arity table", False, f"{format_cterm(expr)}: arity {got}, wanted {want}")
     return Result("arity table", True, "I B C S K W, 5 internalized samples, and the flip")
 
 
@@ -224,23 +220,19 @@ def _head_form_arity_m1(nf, m: int) -> bool:
     while isinstance(body, Lam):
         r += 1
         body = body.body
-    if r == 0:
-        return False
     args = []
     head = body
     while isinstance(head, App):
         args.append(head.arg)
         head = head.fn
-    if not isinstance(head, Var) or head.index != r - 1:
-        return False
-    for a in args:
-        if (r - 1) in terms.wires(a):
-            return False
-    if len(args) == 1:
-        return m == r - 1
-    if len(args) == 0:
-        return m == r
-    return False
+    return (
+        r > 0
+        and isinstance(head, Var)
+        and head.index == r - 1
+        and len(args) <= 1
+        and all(r - 1 not in terms.wires(a) for a in args)
+        and m == r - len(args)
+    )
 
 
 def _gen_closed_planar(rng: random.Random, max_size: int) -> terms.LTerm:
@@ -316,17 +308,14 @@ def criterion_8(samples: int, seed: int, fuel: int) -> Result:
 def criterion_9(samples: int, seed: int, fuel: int) -> Result:
     sig = BIBULLET
     rng = random.Random(seed)
+    compose = operad.operad_compose
     for _ in range(samples):
         # unit laws
-        k = rng.randint(0, 2)
-        f = operad.sample_operad_elem(k, sig, rng)
-        viaid = operad.operad_compose(operad.ID_ELEM, [f], sig)
-        if comb_equal(viaid.elem, f.elem, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "id(f) != f")
-        ids = [operad.ID_ELEM] * f.m
-        viaids = operad.operad_compose(f, ids, sig)
-        if comb_equal(viaids.elem, f.elem, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "f(id, .., id) != f")
+        f = operad.sample_operad_elem(rng.randint(0, 2), sig, rng)
+        laws = [
+            ("id(f) = f", compose(operad.ID_ELEM, [f], sig).elem, f.elem),
+            ("f(id, .., id) = f", compose(f, [operad.ID_ELEM] * f.m, sig).elem, f.elem),
+        ]
 
         # associativity: h(g1(f11..), g2(f21..)) = (h(g1, g2))(f11.., f21..)
         h = operad.sample_operad_elem(2, sig, rng)
@@ -335,36 +324,34 @@ def criterion_9(samples: int, seed: int, fuel: int) -> Result:
             [operad.sample_operad_elem(rng.randint(0, 1), sig, rng) for _ in range(g.m)]
             for g in gs
         ]
-        lhs = operad.operad_compose(
-            h, [operad.operad_compose(g, fs, sig) for g, fs in zip(gs, fss)], sig
-        )
-        rhs = operad.operad_compose(
-            operad.operad_compose(h, gs, sig), fss[0] + fss[1], sig
-        )
-        if comb_equal(lhs.elem, rhs.elem, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "associativity failed")
+        nested = compose(h, [compose(g, fs, sig) for g, fs in zip(gs, fss)], sig)
+        flat = compose(compose(h, gs, sig), fss[0] + fss[1], sig)
+        laws.append(("associativity", nested.elem, flat.elem))
 
         # closedness round trips
-        m = rng.randint(1, 3)
-        t = operad.sample_operad_elem(m, sig, rng)
-        clo = operad.closed_lambda(t)
-        back = operad.operad_compose(operad.APP_ELEM, [clo, operad.ID_ELEM], sig)
-        if comb_equal(back.elem, t.elem, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "lambda(t) o B != t")
+        t = operad.sample_operad_elem(rng.randint(1, 3), sig, rng)
+        back = compose(operad.APP_ELEM, [operad.closed_lambda(t), operad.ID_ELEM], sig)
+        laws.append(("lambda(t) o B = t", back.elem, t.elem))
         x = operad.sample_operad_elem(rng.randint(0, 2), sig, rng)
-        xB = operad.operad_compose(operad.APP_ELEM, [x, operad.ID_ELEM], sig)
+        xB = compose(operad.APP_ELEM, [x, operad.ID_ELEM], sig)
         again = operad.closed_lambda(operad.OperadElem(xB.elem, x.m + 1))
-        if comb_equal(again.elem, x.elem, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "lambda(x o B) != x")
+        laws.append(("lambda(x o B) = x", again.elem, x.elem))
 
         # exchange law for a checked arity
         m = rng.randint(0, 2)
         a = operad.sample_operad_elem(m, sig, rng)  # arity m -> 1
         b = sample_closed(sig, rng, max_depth=1)
-        lhs_e = comb.compose(comb.b_power_apply(m, b), a.elem)
-        rhs_e = comb.compose(a.elem, comb.b_power_apply(1, b))
-        if comb_equal(lhs_e, rhs_e, sig, fuel=fuel) is not Verdict.EQUAL:
-            return Result("operad laws", False, "exchange law failed")
+        laws.append((
+            "exchange law",
+            comb.compose(comb.b_power_apply(m, b), a.elem),
+            comb.compose(a.elem, comb.b_power_apply(1, b)),
+        ))
+
+        for name, lhs, rhs in laws:
+            v = comb_equal(lhs, rhs, sig, fuel=fuel)
+            if v is not Verdict.EQUAL:
+                detail = f"{name}: {v} ({format_cterm(lhs)} vs {format_cterm(rhs)})"
+                return Result("operad laws", False, detail)
     return Result("operad laws", True, f"{samples} sampled instances")
 
 
@@ -374,8 +361,9 @@ def criterion_10(samples: int, seed: int, fuel: int) -> Result:
     sig = BCPMI
     mp = parse_cterm("C+ o B")
     mm = parse_cterm("C- o B")
-    if comb_equal(mp, mm, sig, fuel=fuel) is not Verdict.NOT_EQUAL:
-        return Result("non-faithfulness", False, "the two braided exchanges compare equal")
+    v = comb_equal(mp, mm, sig, fuel=fuel)
+    if v is not Verdict.NOT_EQUAL:
+        return Result("non-faithfulness", False, f"C+ o B = C- o B is {v}, wanted NotEqual")
     fp = operad.operad_elem(mp, 2, sig)
     fm = operad.operad_elem(mm, 2, sig)
     rng = random.Random(seed)
@@ -389,7 +377,8 @@ def criterion_10(samples: int, seed: int, fuel: int) -> Result:
             return Result(
                 "non-faithfulness",
                 False,
-                f"evaluations differ: {format_cterm(v1)} vs {format_cterm(v2)}",
+                f"evaluations {format_cterm(v1)} and {format_cterm(v2)}, "
+                f"wanted {format_cterm(want)}",
             )
     return Result("non-faithfulness", True, f"distinct elements, equal on {samples} pairs")
 
@@ -436,14 +425,16 @@ def criterion_11(samples: int, seed: int, fuel: int) -> Result:
 def criterion_12(samples: int, seed: int, fuel: int) -> Result:
     tref = operad.trefoil()
     eta, eps = operad.eta_eps()
-    if format_cterm(tref.elem) != "Tr (Tr (C+ o C+ o C+))":
-        return Result("trace syntax", False, f"trefoil prints {format_cterm(tref.elem)}")
-    if (tref.m, tref.n) != (0, 0):
-        return Result("trace syntax", False, "trefoil arity is not 0 -> 0")
-    if format_cterm(eta.elem) != "Tr (Tr o B Tr o B C o C)" or (eta.m, eta.n) != (0, 2):
-        return Result("trace syntax", False, "cup expression or arity wrong")
-    if format_cterm(eps.elem) != "Tr (C o B C o B B o B)" or (eps.m, eps.n) != (2, 0):
-        return Result("trace syntax", False, "cap expression or arity wrong")
+    # (cert, print, m, n): the trefoil, the cup and the cap
+    for cert, want, m, n in (
+        (tref, "Tr (Tr (C+ o C+ o C+))", 0, 0),
+        (eta, "Tr (Tr o B Tr o B C o C)", 0, 2),
+        (eps, "Tr (C o B C o B B o B)", 2, 0),
+    ):
+        got = format_cterm(cert.elem)
+        if (got, cert.m, cert.n) != (want, m, n):
+            detail = f"{got} stated {cert.m} -> {cert.n}, wanted {want} stated {m} -> {n}"
+            return Result("trace syntax", False, detail)
     inner = parse_cterm("C+ o C+ o C+")
     if operad.has_arity(inner, 2, 2, BCPMI, fuel=fuel) is not Verdict.EQUAL:
         return Result("trace syntax", False, "closure input is not 2 -> 2")

@@ -182,20 +182,21 @@ def cable(u: BraidWord, widths: Sequence[int]) -> BraidWord:
         raise DimensionError(f"need {u.strands} widths, got {len(widths)}")
     if any(w < 0 for w in widths):
         raise ValueError("widths must be non-negative")
+    # carry the widths back to the start side, then cable letter by letter
     w = list(widths)
-    out: list[int] = []
     for a in reversed(u.letters):
         i = abs(a)
-        left = list(w)
-        left[i - 1], left[i] = w[i], w[i - 1]
-        p, q = left[i - 1], left[i]
-        offset = sum(left[: i - 1])
+        w[i - 1], w[i] = w[i], w[i - 1]
+    out: list[int] = []
+    for a in u.letters:
+        i = abs(a)
+        p, q = w[i - 1], w[i]
+        offset = sum(w[: i - 1])
         if a > 0:
-            cross = _positive_block_crossing(p, q, offset)
+            out += _positive_block_crossing(p, q, offset)
         else:
-            cross = [-x for x in reversed(_positive_block_crossing(q, p, offset))]
-        out = cross + out
-        w = left
+            out += [-x for x in reversed(_positive_block_crossing(q, p, offset))]
+        w[i - 1], w[i] = q, p
     return BraidWord(sum(widths), tuple(out))
 
 

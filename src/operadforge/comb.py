@@ -219,32 +219,20 @@ class _CParser(terms.Tokens):
     def parse_juxt(self) -> CTerm:
         head = self.parse_atom()
         while True:
-            nxt = self.parse_atom(optional=True)
-            if nxt is None:
+            tok = self.peek()
+            if tok is None or tok[0] not in ("lpar", "ident") or tok[1] == "o":
                 return head
-            head = CApp(head, nxt)
+            head = CApp(head, self.parse_atom())
 
-    def parse_atom(self, optional: bool = False) -> Optional[CTerm]:
-        tok = self.peek()
-        if tok is None:
-            if optional:
-                return None
-            raise self.error("unexpected end of input", len(self.text))
-        kind, val, pos = tok
-        out: Optional[CTerm] = None
+    def parse_atom(self) -> CTerm:
+        kind, val, pos = self.next()
         if kind == "ident":
             if val == "o":
-                if optional:
-                    return None
                 raise self.error("misplaced 'o'", pos)
-            self.next()
             out = Prim(val) if val in PRIM_NAMES else ConstRef(val)
         elif kind == "lpar":
-            self.next()
             out = self.parse_expr()
             self.expect("rpar")
-        elif optional:
-            return None
         else:
             raise self.error(f"unexpected token {val!r}", pos)
         while True:
@@ -535,16 +523,13 @@ def _ax(name: str, lhs: str, rhs: str, metavars: str = "") -> Axiom:
     return Axiom(name, ((lhs, rhs),), tuple(metavars.split()))
 
 
-def _ax_signed(name: str, lhs: str, rhs: str, metavars: str = "", star: bool = False) -> Axiom:
+def _ax_signed(name: str, lhs: str, rhs: str, metavars: str = "") -> Axiom:
     """Expand C? into C+/C- (linked) and C! into an independent choice."""
     variants = []
     for s in ("+", "-"):
         l, r = lhs.replace("C?", f"C{s}"), rhs.replace("C?", f"C{s}")
-        if star and ("C!" in l or "C!" in r):
-            for s2 in ("+", "-"):
-                variants.append((l.replace("C!", f"C{s2}"), r.replace("C!", f"C{s2}")))
-        else:
-            variants.append((l, r))
+        for s2 in ("+", "-"):
+            variants.append((l.replace("C!", f"C{s2}"), r.replace("C!", f"C{s2}")))
     return Axiom(name, tuple(dict.fromkeys(variants)), tuple(metavars.split()))
 
 
@@ -581,7 +566,7 @@ BRAIDED_AXIOMS = (
     _ax_signed("rho", "C? B I", "I"),
     _ax_signed("alpha", "(B B) o B", "(C? B B) o (B o B)"),
     Axiom("cox1", (("C+ o C-", "I"), ("C- o C+", "I"))),
-    _ax_signed("cox2", "(B C?) o (B o B)", "(C! B C?) o (B o B)", star=True),
+    _ax_signed("cox2", "(B C?) o (B o B)", "(C! B C?) o (B o B)"),
     _ax_signed("cox3", "(B C?) o (C? o (B C?))", "C? o ((B C?) o C?)"),
     _ax_signed("bc", "(B B) o C?", "C? o ((B C?) o B)"),
 )

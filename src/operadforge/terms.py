@@ -562,30 +562,22 @@ class _Parser(Tokens):
     def parse_app(self, env: list[str]) -> LTerm:
         head = self.parse_atom(env)
         while True:
-            nxt = self.parse_atom(env, optional=True)
-            if nxt is None:
+            tok = self.peek()
+            if tok is None or tok[0] not in ("ident", "lpar", "lbrk"):
                 return head
-            head = App(head, nxt)
+            head = App(head, self.parse_atom(env))
 
-    def parse_atom(self, env: list[str], optional: bool = False) -> Optional[LTerm]:
-        tok = self.peek()
-        if tok is None:
-            if optional:
-                return None
-            raise ParseError("unexpected end of input", len(self.text))
-        kind, val, pos = tok
+    def parse_atom(self, env: list[str]) -> LTerm:
+        kind, val, pos = self.next()
         if kind == "ident":
-            self.next()
             if val in env:
                 return Var(env[::-1].index(val))
             return Const(val)
         if kind == "lpar":
-            self.next()
             t = self.parse_term(env)
             self.expect("rpar")
             return t
         if kind == "lbrk":
-            self.next()
             _, literal, at = self.expect("braid")
             try:
                 word = parse_braid(literal)
@@ -593,8 +585,6 @@ class _Parser(Tokens):
                 raise ParseError(str(e), at) from None
             self.expect("rbrk")
             return BraidNode(word, self.parse_atom(env))
-        if optional:
-            return None
         raise ParseError(f"unexpected token {val!r}", pos)
 
 

@@ -16,8 +16,8 @@ memory from growing, counts as killed.
 A survivor is either marked equivalent in its row, with the reason, or it
 names a missing test.  A row whose line `tests/line_coverage.py` lists as
 unrun survives by construction, so the table has none.  It is a script, not
-a collected test; a killed row stops at its first failing test, so the 33 rows
-take about 12 minutes on 2 cores.  The arguments, if any, pick rows by name:
+a collected test; a killed row stops at its first failing test, so the 40 rows
+take about 15 minutes on 2 cores.  The arguments, if any, pick rows by name:
 
     python tests/mutation_census.py [name ...]
 """
@@ -92,8 +92,8 @@ MUTANTS = [
     Mutant(
         "cable negative crossing unreversed",
         "src/operadforge/braids.py",
-        "cross = [-x for x in reversed(_positive_block_crossing(q, p, offset))]",
-        "cross = [-x for x in _positive_block_crossing(q, p, offset)]",
+        "out += [-x for x in reversed(_positive_block_crossing(q, p, offset))]",
+        "out += [-x for x in _positive_block_crossing(q, p, offset)]",
         "cables a negative letter between blocks into a word that is not its inverse crossing",
     ),
     Mutant(
@@ -301,6 +301,55 @@ MUTANTS = [
         "if len(items) != u.strands:",
         "if len(items) > u.strands:",
         "pushes fewer items than strands through a word",
+    ),
+    Mutant(
+        "braid relation failure reads as a pass",
+        "src/operadforge/acceptance.py",
+        'return Result("braid relations", False, f"{lhs} = {rhs}',
+        'return Result("braid relations", True, f"{lhs} = {rhs}',
+        "passes criterion 1 when a relation or the separation comes out wrong",
+    ),
+    Mutant(
+        "arity table names the wanted arity as found",
+        "src/operadforge/acceptance.py",
+        "arity {got}, wanted {want}",
+        "arity {want}, wanted {want}",
+        "names the wanted arity in place of the one inferred",
+    ),
+    Mutant(
+        "operad law names its left side twice",
+        "src/operadforge/acceptance.py",
+        "vs {format_cterm(rhs)})",
+        "vs {format_cterm(lhs)})",
+        "prints the left side where the right side of the failing law belongs",
+    ),
+    Mutant(
+        "trace print failure reads as a pass",
+        "src/operadforge/acceptance.py",
+        'return Result("trace syntax", False, detail)',
+        'return Result("trace syntax", True, detail)',
+        "passes criterion 12 when a certificate prints or states its arity wrongly",
+    ),
+    Mutant(
+        "head form admits two arguments",
+        "src/operadforge/acceptance.py",
+        "and len(args) <= 1",
+        "and len(args) <= 2",
+        "reads a head applied to two arguments as arity m -> 1",
+    ),
+    Mutant(
+        "application stops at a braid",
+        "src/operadforge/terms.py",
+        'tok[0] not in ("ident", "lpar", "lbrk")',
+        'tok[0] not in ("ident", "lpar")',
+        "ends an application before a braided argument, which then reads as trailing input",
+    ),
+    Mutant(
+        "composition sign read as an argument",
+        "src/operadforge/comb.py",
+        'tok[0] not in ("lpar", "ident") or tok[1] == "o"',
+        'tok[0] not in ("lpar", "ident")',
+        "takes 'o' for an argument, so every composition fails as a misplaced 'o'",
     ),
 ]
 

@@ -90,6 +90,38 @@ class TestParse:
         with pytest.raises(comb.CombError, match=r"^unexpected character '%' at 3$"):
             comb.parse_cterm("B  %")
 
+    @pytest.mark.parametrize(
+        "syntax, bad, message",
+        [
+            (parse, "", "unexpected end of input (at position 0)"),
+            (parse, "a (", "unexpected end of input (at position 3)"),
+            (parse, "a [{2; 1}]", "unexpected end of input (at position 10)"),
+            (parse, ")", "unexpected token ')' (at position 0)"),
+            (parse, "a )", "trailing input ')' (at position 2)"),
+            (parse, "a b \\x. x", "trailing input '\\\\' (at position 4)"),
+            (parse, "(a b .", "expected rpar, found '.' (at position 5)"),
+            (parse, "\\x (", "expected binder name or '.' (at position 3)"),
+            (parse, "\\. x", "abstraction with no binders (at position 0)"),
+            (parse, "[a] b", "expected braid, found 'a' (at position 1)"),
+            (parse, "[{2; 1} (a b)", "expected rbrk, found '(' (at position 8)"),
+            (parse, "[{2; 5}] (a b)", "letter 5 out of range for 2 strands (at position 1)"),
+            (comb.parse_cterm, "", "unexpected end of input at 0"),
+            (comb.parse_cterm, "B o", "unexpected end of input at 3"),
+            (comb.parse_cterm, "(B", "unexpected end of input at 2"),
+            (comb.parse_cterm, "o", "misplaced 'o' at 0"),
+            (comb.parse_cterm, "B o o", "misplaced 'o' at 4"),
+            (comb.parse_cterm, "B (o)", "misplaced 'o' at 3"),
+            (comb.parse_cterm, ")", "unexpected token ')' at 0"),
+            (comb.parse_cterm, "*", "unexpected token '*' at 0"),
+            (comb.parse_cterm, "B )", "trailing input ')' at 2"),
+            (comb.parse_cterm, "(B o C))", "trailing input ')' at 7"),
+        ],
+    )
+    def test_each_parse_error_names_its_message_and_position(self, syntax, bad, message):
+        with pytest.raises((ParseError, comb.CombError)) as e:
+            syntax(bad)
+        assert str(e.value) == message
+
     @settings(max_examples=200, deadline=None)
     @given(_braid_literals())
     @example(("{3; 1-2}", BraidWord(3, (1, -2))))
