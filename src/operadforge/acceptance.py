@@ -137,8 +137,9 @@ def criterion_1(samples: int, seed: int, fuel: int) -> Result:
 def criterion_2(samples: int, seed: int, fuel: int) -> Result:
     got = cable(parse_braid("{3; -2 1}"), [1, 2, 1])
     want = parse_braid("{4; -3 2 1}")
-    ok = braid_equal(got, want)
-    return Result("cabling", ok, f"cable example -> {got}")
+    if not braid_equal(got, want):
+        return Result("cabling", False, f"cable example -> {got}, wanted {want}")
+    return Result("cabling", True, f"cable example -> {got}")
 
 
 # -- criteria 3-6: axiom suites ------------------------------------------------------

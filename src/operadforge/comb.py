@@ -32,6 +32,7 @@ from .normalize import (
     DEFAULT_FUEL,
     FuelExhausted,
     Verdict,
+    canon_braids,
     canonical_equal,
     lam_equal,
     normalize,
@@ -285,7 +286,8 @@ _PRIM_LAMBDA_SRC = {
     "K": r"\f x. f",
 }
 
-_PRIM_LAMBDA = {name: terms.parse(src) for name, src in _PRIM_LAMBDA_SRC.items()}
+# Canonical, and flagged so from the start: no first use sets the flag.
+_PRIM_LAMBDA = {name: canon_braids(terms.parse(src)) for name, src in _PRIM_LAMBDA_SRC.items()}
 
 
 def to_lambda(c: CTerm, d: Discipline) -> LTerm:

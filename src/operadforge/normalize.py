@@ -22,6 +22,12 @@ joins its slot's word, as canonicalizing the whole term after the step
 would.  The nodes the pass builds carry the `canon` flag, so its output is
 not canonicalized again.
 
+A normal form is a fixed point of the pass, so the pass marks every node it
+returns `normal` (see `terms`) and returns a marked term unchanged.  A
+contraction keeps the subterms it does not touch, and `shift` keeps their
+mark, so a normal argument substituted into a normal body is not walked
+again: only the nodes the contraction rebuilt are.
+
 Eta contraction happens in the same pass, bottom-up: each abstraction the
 pass rebuilds goes through the one-node rule `eta_contract`, innermost
 binder first.  In a beta-normal term an eta contraction creates no beta
@@ -219,6 +225,8 @@ class _NormalOrder:
         """Normal form of t, the content of a slot (the root or a λ body);
         the binders of t's leading abstractions are eta-contracted
         innermost first, each after the body under it is final."""
+        if t.normal:
+            return t
         binders = 0
         while True:
             word = None
@@ -238,15 +246,22 @@ class _NormalOrder:
             body = BraidNode(slot.word, body, canon=body.canon)
         for _ in range(binders):
             body = eta_contract(Lam(body))
+        body.normal = True
         return body
 
     def _nf(self, t: LTerm, slot: _Slot, right: tuple | None) -> LTerm:
         """Normal form of t, an argument inside slot's body.  An
         abstraction is eta-contracted once its body is final; a braid the
-        contraction leaves lifts into the slot, as a reduct's does."""
+        contraction leaves lifts into the slot, as a reduct's does.  A
+        marked t is its own normal form, and no braid of it lifts, since a
+        canonical argument has none at its root."""
+        if t.normal:
+            return t
         head, stack = self._head(t, slot, right)
         if not stack and isinstance(head, Lam):
-            return slot.shed(eta_contract(Lam(self.scope(head.body))), right)
+            out = slot.shed(eta_contract(Lam(self.scope(head.body))), right)
+            out.normal = True
+            return out
         return self._args(head, stack, slot, right)
 
     def _head(self, t: LTerm, slot: _Slot, right: tuple | None) -> tuple[LTerm, list]:
@@ -262,10 +277,14 @@ class _NormalOrder:
             t = self._contract(t, stack, slot, (stack, 0, right))
 
     def _args(self, head: LTerm, stack: list, slot: _Slot, right: tuple | None) -> LTerm:
+        """head, a variable or a constant, applied to the normal forms of
+        the arguments on the stack."""
         args = stack[::-1]
         for j, a in enumerate(args):
             args[j] = self._nf(a, slot, (args, j + 1, right))
-        return app(head, *args)
+        out = app(head, *args)
+        out.normal = True
+        return out
 
     def _contract(self, fn: Lam, stack: list, slot: _Slot, right: tuple) -> LTerm:
         """Contract the g >= 1 binders of fn's group that have an argument
@@ -313,7 +332,8 @@ def eta_contract(t: Lam) -> LTerm:
     word = None
     if type(body) is BraidNode:
         word, body = body.braid, body.body
-    if type(body) is not App or body.arg != Var(0) or 0 in wires(body.fn):
+    x = body.arg if type(body) is App else None
+    if type(x) is not Var or x.index != 0 or 0 in wires(body.fn):
         return t
     if word is None:
         return shift(body.fn, -1)
@@ -332,7 +352,8 @@ def normalize(
     well-formed under d in ctx (else DisciplineError).
 
     Exactly-once disciplines ignore fuel (termination is structural);
-    cartesian reduction is normal-order and raises FuelExhausted.
+    cartesian reduction is normal-order and raises FuelExhausted.  The
+    result carries the `normal` mark, so normalizing it again returns it.
     """
     check_discipline(t, d, ctx)
     t = bind_context(t, ctx)
@@ -362,6 +383,8 @@ def canonical_equal(t1: LTerm, t2: LTerm) -> Verdict:
     todo = [(canon_braids(t1), canon_braids(t2), None)]
     while todo:
         a, b, delta = todo.pop()
+        if a is b and delta is None:  # one normal form met twice, as parts are
+            continue
         if type(a) is BraidNode or type(b) is BraidNode:
             # w_b, then delta, then the inverse of w_a
             words = [] if delta is None else [delta]

@@ -215,8 +215,9 @@ def check_equivariance(
     and f; on the right the action of the cabled word, the argument parts
     of the permuted g_i and f; an empty word acts by no part.  Each side is
     decided as \\x. q_1 (q_2 (.. (q_n x))), the beta-reduct of the chain's
-    image, each part entered as its cached normal form (`_part`), so each
-    distinct part is normalized once, not inside both sides of every check.
+    image, each part entered as its cached normal form (`_part`, keyed by
+    (i, g) for B^i g and by the word for an action), so each distinct part
+    is built and normalized once, not inside both sides of every check.
     The verdict is the one the chains get: a normal form is beta-eta-equal
     to the image it replaces, and `canonical_equal` does not depend on where
     normalizing a part first leaves a braid.
@@ -226,9 +227,9 @@ def check_equivariance(
         raise ArityError("equivariance check needs matching sizes")
     permuted = permute_contents(braid_inverse(s), gs)
     cabled = cable(s, [g.m for g in gs])
-    args = [_part(e, sig) for e in argument_parts(gs)]
-    permuted_args = [_part(e, sig) for e in argument_parts(permuted)]
-    op = [_part(f.elem, sig)]
+    args = [_part((i, g.elem), sig) for i, g in enumerate(gs)]
+    permuted_args = [_part((i, g.elem), sig) for i, g in enumerate(permuted)]
+    op = [_part((0, f.elem), sig)]
     lhs = args + _action_parts(s, sig) + op
     rhs = _action_parts(cabled, sig) + permuted_args + op
     return lam_equal(_chain(lhs), _chain(rhs), sig.discipline, fuel=fuel)
@@ -243,13 +244,16 @@ def _action_parts(s: BraidWord, sig: Signature) -> list[LTerm]:
 # B^i g and each action): 240 in the battery, and about 410 over a run of the
 # benchmark's equivariance checks, about 0.9 MB.
 @functools.lru_cache(maxsize=512)
-def _part(part: CTerm | BraidWord, sig: Signature) -> LTerm:
+def _part(part: tuple[int, CTerm] | BraidWord, sig: Signature) -> LTerm:
     """A part's image: its normal form in an exactly-once signature, else
     its own image, since normalizing a part first can diverge where normal
-    order does not (K I applied to a divergent term).  A braid word stands
-    for its action element, which is then built only on a miss."""
+    order does not (K I applied to a divergent term).  A pair (i, g) stands
+    for B^i g (f is (0, f)) and a braid word for its action element; either
+    is built only on a miss, and a hit on the same g compares it by
+    identity."""
     d = sig.discipline
-    image = to_lambda(action_word(part, sig) if type(part) is BraidWord else part, d)
+    elem = action_word(part, sig) if type(part) is BraidWord else b_power_apply(*part)
+    image = to_lambda(elem, d)
     return normalize(image, d) if d.exactly_once else image
 
 

@@ -83,6 +83,11 @@ class DisciplineError(TermError):
 #                it returns.
 # * checked   -- bit mask of the disciplines whose node rules t and every
 #                node under it passed (`_check`); a pure function of the node.
+# * normal    -- the term is beta-normal, eta-normal and canonical, so the
+#                normalizer returns it unchanged.  Variables and constants
+#                are built normal; any other node is normal only once
+#                `normalize` has marked it (it marks every node its pass
+#                returns), and `shift` keeps the mark.
 #
 # All of these are pure functions of the node, so nodes shared between terms
 # (the images of the combinator primitives, say) share them too.
@@ -98,7 +103,7 @@ class DisciplineError(TermError):
 
 class LTerm:
     # max_free: one more than the largest free de Bruijn index (0 if closed).
-    __slots__ = ("size", "_wires", "max_free", "canon", "checked")
+    __slots__ = ("size", "_wires", "max_free", "canon", "checked", "normal")
 
     def __hash__(self) -> int:
         # the node's class and the fields its own class declares
@@ -120,6 +125,7 @@ class Var(LTerm):
         self.max_free = index + 1
         self.canon = True
         self.checked = 0
+        self.normal = True
 
     def __eq__(self, other):
         return type(other) is Var and other.index == self.index
@@ -137,6 +143,7 @@ class Const(LTerm):
         self.max_free = 0
         self.canon = True
         self.checked = 0
+        self.normal = True
 
     def __eq__(self, other):
         return type(other) is Const and other.name == self.name
@@ -155,6 +162,7 @@ class Lam(LTerm):
         self.max_free = m - 1 if m else 0
         self.canon = body.canon
         self.checked = 0
+        self.normal = False
 
     def __eq__(self, other):
         return type(other) is Lam and other.body == self.body
@@ -176,6 +184,7 @@ class App(LTerm):
             fn.canon and arg.canon and type(fn) is not BraidNode and type(arg) is not BraidNode
         )
         self.checked = 0
+        self.normal = False
 
     def __eq__(self, other):
         return type(other) is App and other.fn == self.fn and other.arg == self.arg
@@ -194,6 +203,7 @@ class BraidNode(LTerm):
         self.max_free = body.max_free
         self.canon = canon
         self.checked = 0
+        self.normal = False
 
     def __eq__(self, other):
         return type(other) is BraidNode and other.braid == self.braid and other.body == self.body
@@ -341,13 +351,17 @@ def canon_wrap(word: BraidWord, body: LTerm) -> LTerm:
 def shift(t: LTerm, by: int, cutoff: int = 0) -> LTerm:
     if by == 0 or t.max_free <= cutoff:  # every Const, being closed, returns here
         return t
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         return Var(t.index + by)
-    if isinstance(t, Lam):
-        return Lam(shift(t.body, by, cutoff + 1))
-    if isinstance(t, App):
-        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
-    return BraidNode(t.braid, shift(t.body, by, cutoff), canon=t.canon)
+    if kind is Lam:
+        out = Lam(shift(t.body, by, cutoff + 1))
+    elif kind is App:
+        out = App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
+    else:
+        out = BraidNode(t.braid, shift(t.body, by, cutoff), canon=t.canon)
+    out.normal = t.normal
+    return out
 
 
 def beta_step_at(fn: Lam, args: Sequence[LTerm]) -> tuple[LTerm, list[int]]:
@@ -381,15 +395,16 @@ def _subst(t: LTerm, depth: int, g: int, args: Sequence[LTerm], uses: list[int])
     with the group's binders replaced; counts each binder's uses."""
     if t.max_free <= depth:  # every Const, being closed, returns here
         return t
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         j = depth + g - 1 - t.index  # binder x(j+1); outer variables have j < 0
         if j < 0:
             return Var(t.index - g)
         uses[j] += 1
         return shift(args[j], depth)
-    if isinstance(t, Lam):
+    if kind is Lam:
         return Lam(_subst(t.body, depth + 1, g, args, uses))
-    if isinstance(t, App):
+    if kind is App:
         return canon_app(_subst(t.fn, depth, g, args, uses), _subst(t.arg, depth, g, args, uses))
     outer = wires(t)
     braid = t.braid

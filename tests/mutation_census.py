@@ -16,7 +16,7 @@ memory from growing, counts as killed.
 A survivor is either marked equivalent in its row, with the reason, or it
 names a missing test.  A row whose line `tests/line_coverage.py` lists as
 unrun survives by construction, so the table has none.  It is a script, not
-a collected test; a killed row stops at its first failing test, so the 40 rows
+a collected test; a killed row stops at its first failing test, so the 44 rows
 take about 15 minutes on 2 cores.  The arguments, if any, pick rows by name:
 
     python tests/mutation_census.py [name ...]
@@ -142,13 +142,13 @@ MUTANTS = [
         "part cache without the signature",
         "src/operadforge/operad.py",
         "@functools.lru_cache(maxsize=512)\n"
-        "def _part(part: CTerm | BraidWord, sig: Signature) -> LTerm:\n",
+        "def _part(part: tuple[int, CTerm] | BraidWord, sig: Signature) -> LTerm:\n",
         "@functools.lru_cache(maxsize=512)\n"
-        "def _part_of(part: CTerm | BraidWord) -> LTerm:\n"
+        "def _part_of(part: tuple[int, CTerm] | BraidWord) -> LTerm:\n"
         "    return _image(part, _sig[0])\n"
         "\n"
         "\n"
-        "def _part(part: CTerm | BraidWord, sig: Signature) -> LTerm:\n"
+        "def _part(part: tuple[int, CTerm] | BraidWord, sig: Signature) -> LTerm:\n"
         "    _sig[0] = sig\n"
         "    return _part_of(part)\n"
         "\n"
@@ -157,15 +157,37 @@ MUTANTS = [
         "_part.cache_clear, _part.cache_info = _part_of.cache_clear, _part_of.cache_info\n"
         "\n"
         "\n"
-        "def _image(part: CTerm | BraidWord, sig: Signature) -> LTerm:\n",
-        "reuses a part's image from one signature in another",
+        "def _image(part: tuple[int, CTerm] | BraidWord, sig: Signature) -> LTerm:\n",
+        "reuses the image of a key (i, g) or a word from one signature in another",
     ),
     Mutant(
         "part cache of size 0",
         "src/operadforge/operad.py",
         "@functools.lru_cache(maxsize=512)",
         "@functools.lru_cache(maxsize=0)",
-        "normalizes every part again on every check",
+        "builds each B^i g and action and normalizes it again on every check",
+    ),
+    Mutant(
+        "reduct marked normal",
+        "src/operadforge/terms.py",
+        "    uses = [0] * g\n    return _subst(body, 0, g, args, uses), uses",
+        "    uses = [0] * g\n    r = _subst(body, 0, g, args, uses)\n    r.normal = True\n"
+        "    return r, uses",
+        "marks a reduct that may still hold a redex as normal, so normalizing it returns it",
+    ),
+    Mutant(
+        "shift drops the mark",
+        "src/operadforge/terms.py",
+        "out.normal = t.normal",
+        "out.normal = False",
+        "walks and rebuilds every shifted normal argument again",
+    ),
+    Mutant(
+        "identity skip under a pending braid",
+        "src/operadforge/normalize.py",
+        "if a is b and delta is None:",
+        "if a is b:",
+        "calls one subterm equal to itself though a braid is pending over it",
     ),
     Mutant(
         "B power off by one",
@@ -301,6 +323,13 @@ MUTANTS = [
         "if len(items) != u.strands:",
         "if len(items) > u.strands:",
         "pushes fewer items than strands through a word",
+    ),
+    Mutant(
+        "cabling failure reads as a pass",
+        "src/operadforge/acceptance.py",
+        'return Result("cabling", False,',
+        'return Result("cabling", True,',
+        "passes criterion 2 when the cabled word is not the wanted one",
     ),
     Mutant(
         "braid relation failure reads as a pass",

@@ -105,6 +105,11 @@ _ONCE_CLOSED_TREFOIL = operad.trace_syntax(operad.ArityCert(parse_cterm("C+ o C+
             id="c01-brute-force",
         ),
         pytest.param(
+            acceptance.criterion_2, acceptance, "braid_equal", lambda u, v: False,
+            "cable example -> {4; -3 2 1}, wanted {4; -3 2 1}",
+            id="c02-cabling",
+        ),
+        pytest.param(
             acceptance.criterion_3, acceptance, "axiom_suite", lambda *a, **k: _FAILING_ROW,
             "B: fail (lhs a vs rhs b, witness {'a': 'I'})",
             id="c03-suite",

@@ -17,12 +17,18 @@ normal forms of its parts, so the controls also hold each verdict, law and
 mirror, to the one `comb.comb_equal` gets on the raw sides: the combinator
 expressions the law states, in which every element is itself (`law_sides`).
 
+Both controls also run on fresh elements (`generic_cells`): f = p* o B^k
+and g_i = qi* o B^ji for constants p and qi.  A member of arity m equals
+(a I)* o B^m, and closed terms substituted for the constants keep every
+equality, so an Equal there holds for every sampled element too.
+
 Neither control can see a swapped crossing sign in `Signature.exchange`:
 the law and its mirror are symmetric under exchanging every σ with σ⁻¹, so
 every verdict comes out the same.  `test_comb.py::test_exchange` guards the
 sign.
 """
 
+import functools
 import itertools
 import random
 
@@ -32,7 +38,8 @@ from operadforge import normalize as normalize_module
 from operadforge.acceptance import _words
 from operadforge.braids import BraidWord, cable, underlying_permutation
 from operadforge.normalize import Verdict
-from test_operad import group_action
+from operadforge.terms import App, BraidNode, Const, Lam, Var
+from test_operad import fresh, group_action
 
 
 def checks(count, seed=0, sig=comb.BCPMI):
@@ -55,6 +62,16 @@ def checks(count, seed=0, sig=comb.BCPMI):
     for k, word, js, i in random.Random(seed).sample(cells, count):
         gs = [pools[j][(i + off + 1) % 8] for off, j in enumerate(js)]
         yield pools[k][i], gs, BraidWord(k, word)
+
+
+def generic_cells():
+    """Criterion 11's grid, one cell per (k, word, widths), on fresh
+    elements: p* o B^k for f and qi* o B^ji for g_i."""
+    for k in (1, 2, 3):
+        for word in _words(k, 2):
+            for js in itertools.product((0, 1, 2), repeat=k):
+                gs = [fresh(f"q{i}", j) for i, j in enumerate(js)]
+                yield fresh("p", k), gs, BraidWord(k, word)
 
 
 def mirror(s):
@@ -117,6 +134,28 @@ def test_mirror_and_forgetful_controls(monkeypatch):
         assert comb.comb_equal(forget(lhs), forget(rhs), comb.BCI) is Verdict.EQUAL
 
 
+def test_generic_elements_and_mirror_control(monkeypatch):
+    """The law holds on fresh elements in all of criterion 11's cells, so
+    no sampled element's own equations make it hold; and on the cells
+    whose word has a letter, the mirror control's verdict is the one
+    `tests/dynnikov.py` gives, with both verdicts reached."""
+    cells = list(generic_cells())
+    assert len(cells) == 633
+    for f, gs, s in cells:
+        assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL, (s, gs)
+    lettered = [(f, gs, s) for f, gs, s in cells if s.letters]
+    assert len(lettered) == 594
+    monkeypatch.setattr(operad, "cable", mirrored_cable)
+    verdicts = {Verdict.EQUAL: 0, Verdict.NOT_EQUAL: 0}
+    for f, gs, s in lettered:
+        widths = [g.m for g in gs]
+        got = operad.check_equivariance(f, gs, s, comb.BCPMI)
+        same = dynnikov.equal(cable(s, widths), cable(mirror(s), widths))
+        assert got is (Verdict.EQUAL if same else Verdict.NOT_EQUAL), (s, widths)
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 1, verdicts
+
+
 def skewed_cable(s, widths):
     return cable(BraidWord(s.strands, s.letters + (1,)), widths)
 
@@ -157,22 +196,30 @@ def test_linear_verdicts_match_the_raw_sides(monkeypatch):
 def test_contraction_and_traversal_counts(monkeypatch):
     """A tripwire for the work normalization does: a binder group takes its
     arguments in one traversal, the binders contracted match what
-    contracting one binder per traversal contracts, and each part is
-    normalized once (the cache starts empty, see conftest.py)."""
+    contracting one binder per traversal contracts, each part is
+    normalized once (the cache starts empty, see conftest.py), and a
+    normal subterm that a contraction leaves in place is not rebuilt."""
     traverse = normalize_module.beta_step_at
-    counts = {"traversals": 0, "binders": 0}
+    counts = {"traversals": 0, "binders": 0, "nodes": 0}
 
     def counting(fn, args):
         counts["traversals"] += 1
         counts["binders"] += len(args)
         return traverse(fn, args)
 
+    def counting_init(node, *args, init, **kw):
+        counts["nodes"] += 1
+        init(node, *args, **kw)
+
     monkeypatch.setattr(normalize_module, "beta_step_at", counting)
+    for cls in (Var, Const, Lam, App, BraidNode):
+        monkeypatch.setattr(cls, "__init__", functools.partialmethod(counting_init, init=cls.__init__))
     for f, gs, s in checks(150, seed=1):
         assert operad.check_equivariance(f, gs, s, comb.BCPMI) is Verdict.EQUAL
     # one binder per traversal makes 6,483 traversals (the stepping oracle,
-    # tests/normalize_oracle.py, on the same 426 normalize inputs)
-    assert counts == {"traversals": 2_928, "binders": 6_483}
+    # tests/normalize_oracle.py, on the same 426 normalize inputs); a pass
+    # that walks and rebuilds every normal subterm builds 24,322 nodes
+    assert counts == {"traversals": 2_928, "binders": 6_483, "nodes": 21_244}
 
 
 def reparsed(t):
@@ -221,7 +268,7 @@ def test_cartesian_parts_are_raw_images():
     e = comb.parse_cterm("B I I")
     image = comb.to_lambda(e, comb.BCIWK.discipline)
     assert normalize_module.normalize(image, comb.BCIWK.discipline) != image
-    assert operad._part(e, comb.BCIWK) == image
+    assert operad._part((0, e), comb.BCIWK) == image
     for f, gs, s in checks(100, seed=6, sig=comb.BCIWK):
         lhs, rhs, v = decided(f, gs, s, comb.BCIWK)
         assert v is Verdict.EQUAL

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from operadforge import normalize as normalize_module
 from operadforge import operad
@@ -16,15 +17,18 @@ from operadforge.terms import (
     App,
     BraidNode,
     Const,
+    Context,
     Discipline,
     DisciplineError,
     Lam,
     Var,
+    beta_step_at,
     check_discipline,
     parse,
     pretty,
     wires,
 )
+from test_normalize_oracle import _cases, _shaped
 
 P, L, BR, CA = Discipline.PLANAR, Discipline.LINEAR, Discipline.BRAIDED, Discipline.CARTESIAN
 
@@ -124,6 +128,39 @@ class TestNormalize:
         for _ in range(40):
             t = _gen_closed_planar(rng, 25)
             assert not has_eta_redex(normalize(t, P))
+
+
+class TestNormalMark:
+    """`normalize` marks what it returns and returns a marked term as it
+    is, which is sound only because a normal form is a fixed point of the
+    pass; a term with a redex left must not carry the mark."""
+
+    @pytest.mark.parametrize("d", [P, L, BR, CA], ids=lambda d: d.value)
+    def test_normal_forms_are_marked_fixed_points(self, d):
+        @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(_cases(d))
+        def check(case):
+            c1, c2, shape, fuel = case
+            t, ctx = _shaped(d, c1, c2, shape)
+            try:
+                out = normalize(t, d, fuel=fuel, ctx=ctx)
+            except (DisciplineError, FuelExhausted):
+                return
+            assert out.normal and normalize(out, d, fuel=fuel, ctx=ctx) is out
+            # an unmarked copy: `pretty` names the free index i `_free{i}`
+            copy = parse(pretty(out))
+            assert copy.size == 1 or not copy.normal
+            names = Context(tuple(f"_free{i}" for i in reversed(range(len(ctx)))))
+            again = normalize(copy, d, fuel=fuel, ctx=names)
+            assert again == out and pretty(again) == pretty(out)
+
+        check()
+
+    def test_a_reduct_is_not_marked(self):
+        # the reduct (\z. z) (\y. y) c still has a redex
+        r, _ = beta_step_at(parse(r"\x. x (\y. y) c"), [parse(r"\z. z")])
+        assert not r.normal
+        assert normalize(r, L) == Const("c")
 
 
 class TestEtaContract:
@@ -281,6 +318,15 @@ class TestCanonicalForm:
         braided = normalize(parse(r"\f x y. [{3; 1 1}] (f (x y))"), BR)
         assert canonical_equal(braided, plain) is Verdict.NOT_EQUAL
         assert canonical_equal(plain, braided) is Verdict.NOT_EQUAL
+
+    def test_one_subterm_under_a_pending_braid(self):
+        # both sides hold one object, f (g x y) z, and the left crosses x
+        # and y over it: the walk meets the object against itself with the
+        # crossing pending, which must still be compared
+        shared = parse(r"\x y z. f (g x y) z").body.body.body
+        crossed = BraidNode(parse_braid("{3; 2}"), shared, canon=True)
+        assert canonical_equal(crossed, shared) is Verdict.NOT_EQUAL
+        assert canonical_equal(shared, shared) is Verdict.EQUAL
 
     def test_equal_words_over_different_skeletons(self):
         t1 = normalize(parse(r"\f x y. [{3; 1}] (f (y x))"), BR)

@@ -24,6 +24,7 @@ from operadforge.comb import (
     Prim,
     UnsupportedTrace,
     b_power_apply,
+    b_power_element,
     comb_equal,
     compose,
     format_cterm,
@@ -67,6 +68,12 @@ def group_action(f: OperadElem, s: BraidWord, sig) -> OperadElem:
     if not s.letters:
         return f
     return OperadElem(compose(action_word(s, sig), f.elem), f.m)
+
+
+def fresh(name: str, m: int) -> OperadElem:
+    """A generic operad element at arity m: name* o B^m for a constant
+    `name`, about which the algebra knows nothing more."""
+    return OperadElem(compose(Bullet(ConstRef(name)), b_power_element(m)), m)
 
 
 def _plug(word: CTerm, inner: CTerm) -> CTerm:
@@ -258,11 +265,12 @@ class TestGroupAction:
         assert comb_equal(acted.elem, parse_cterm("C- o B"), BCPMI) is Verdict.NOT_EQUAL
 
     def test_action_law_on_words(self, rng):
-        f = sample_operad_elem(3, BCPMI, rng)
+        # on a sampled element, and on a fresh one
         s, t = BraidWord(3, (1, -2)), BraidWord(3, (2, 1))
-        lhs = group_action(group_action(f, s, BCPMI), t, BCPMI)
-        rhs = group_action(f, braid_compose(s, t), BCPMI)
-        assert comb_equal(lhs.elem, rhs.elem, BCPMI) is Verdict.EQUAL
+        for f in (sample_operad_elem(3, BCPMI, rng), fresh("p", 3)):
+            lhs = group_action(group_action(f, s, BCPMI), t, BCPMI)
+            rhs = group_action(f, braid_compose(s, t), BCPMI)
+            assert comb_equal(lhs.elem, rhs.elem, BCPMI) is Verdict.EQUAL, format_cterm(f.elem)
 
     @settings(max_examples=100, deadline=None)
     @given(paired_braid_words(max_strands=5, max_len=6))
